@@ -2,8 +2,8 @@
 
 For a finite union of rectangles the jumps are exactly the positive edge
 weights of a minimum spanning tree under set distance, so the library
-computes them with a grid-accelerated Boruvka MST (and a quadratic oracle
-for cross-checking).  For the Cantor ternary set the answer is classical:
+computes them with a tree-based Borůvka MST (and a quadratic oracle for
+cross-checking).  For the Cantor ternary set the answer is classical:
 gap 3^-n appears 2^(n-1) times.
 """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,17 +148,28 @@ class CarpetSpec:
 
 
 def _number(value: object, where: str) -> float:
-    """Accept JSON numbers and 'p/q' / decimal strings; reject everything else."""
+    """Accept finite JSON numbers and 'p/q' / decimal strings; reject the rest.
+
+    Non-finite values (JSON's NaN and Infinity, or numbers beyond the float
+    range) are refused: every comparison with a NaN is false, so a NaN slips
+    past any check that tests for the bad case.
+    """
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: bad numeric string {value!r}") from exc
-    raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    elif not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: expected a finite number, got {number}")
+    return number
 
 
 def spec_from_dict(obj: object) -> CarpetSpec:
@@ -211,6 +223,7 @@ def validate(spec: CarpetSpec) -> list[Violation]:
 
     Strict inequalities (a_ij < b_i, 0 < b_i < 1) flag equality as a violation;
     non-strict ones (column gaps, widths fitting in [0,1]) get a 1e-12 slack.
+    Each check states the condition that must hold, so a NaN fails it.
     """
     out: list[Violation] = []
     if spec.m < 2:
@@ -218,33 +231,33 @@ def validate(spec: CarpetSpec) -> list[Violation]:
     b_sum = 0.0
     for i, row in enumerate(spec.rows, start=1):
         b_sum += row.b
-        if row.b <= 0.0 or row.b >= 1.0:
+        if not 0.0 < row.b < 1.0:
             out.append(Violation("b_range", (i,), f"b_{i}={row.b} not in (0,1)"))
         a_sum = 0.0
         for j, cell in enumerate(row.cells, start=1):
             a_sum += cell.a
-            if cell.a <= 0.0:
+            if not cell.a > 0.0:
                 out.append(Violation("a_range", (i, j), f"a=({cell.a}) must be > 0"))
-            if row.b - cell.a <= 0.0:
+            if not row.b - cell.a > 0.0:
                 out.append(Violation(
                     "a_lt_b", (i, j),
                     f"cell width {cell.a} must be strictly less than row height {row.b}"))
-            if j == 1 and cell.c < -_TOL:
+            if j == 1 and not cell.c >= -_TOL:
                 out.append(Violation("c_low", (i, j), f"c={cell.c} must be >= 0"))
             if j > 1:
                 prev = row.cells[j - 2]
                 gap = cell.c - prev.c - prev.a
-                if gap < -_TOL:
+                if not gap >= -_TOL:
                     out.append(Violation(
                         "c_gap", (i, j),
                         f"cell {j} overlaps cell {j - 1} (gap {gap})"))
-            if j == len(row.cells) and 1.0 - cell.c - cell.a < -_TOL:
+            if j == len(row.cells) and not 1.0 - cell.c - cell.a >= -_TOL:
                 out.append(Violation(
                     "c_high", (i, j),
                     f"cell sticks out past x=1 (right edge {cell.c + cell.a})"))
-        if a_sum - 1.0 > _TOL:
+        if not a_sum - 1.0 <= _TOL:
             out.append(Violation("a_sum", (i,), f"row widths sum to {a_sum} > 1"))
-    if abs(b_sum - 1.0) > _TOL:
+    if not abs(b_sum - 1.0) <= _TOL:
         out.append(Violation("b_sum", (), f"row heights sum to {b_sum}, expected 1"))
     return out
 

@@ -51,6 +51,32 @@ def _number(text: str) -> float:
         return float(Fraction(text))
 
 
+def _checked(parse, ok, what: str):
+    """Argparse type: parse the text and refuse values outside the domain.
+
+    A refused value makes argparse print the usage message and exit 2.
+    """
+    def convert(text: str):
+        try:
+            value = parse(text)
+            valid = ok(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
+
+
+_unit = _checked(_number, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_open_unit = _checked(_number, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_positive = _checked(_number, lambda v: 0.0 < v < float("inf"), "a positive number")
+
+
+def _int_from(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
 def _coding(text: str) -> tuple[int, ...]:
     parts = tuple(int(p) for p in text.split(","))
     if not parts:
@@ -136,6 +162,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_boxcount(args) -> int:
+    if not args.delta_min < args.delta_max:
+        print("error: boxcount needs --delta-min < --delta-max", file=sys.stderr)
+        return 2
     spec = _load_valid(args.spec)
     curve = n_delta_curve(spec, args.delta_max, args.delta_min, args.steps)
     write_csv(args.out, ["delta", "count"], curve.samples)
@@ -256,41 +285,41 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, "check a spec against all constraints")
 
     p = add("dimension", _cmd_dimension, "solve for s1 and the box dimension")
-    p.add_argument("--tol", type=_number, default=BISECT_TOL)
+    p.add_argument("--tol", type=_positive, default=BISECT_TOL)
 
     p = add("render", _cmd_render, "draw cylinder rectangles as SVG")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--delta", type=_number, default=None)
-    p.add_argument("--size", type=int, default=512)
+    p.add_argument("--depth", type=_int_from(0), default=None)
+    p.add_argument("--delta", type=_unit, default=None)
+    p.add_argument("--size", type=_int_from(1), default=512)
 
     p = add("boxcount", _cmd_boxcount, "covering-number curve as CSV")
-    p.add_argument("--delta-max", type=_number, required=True)
-    p.add_argument("--delta-min", type=_number, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--delta-max", type=_unit, required=True)
+    p.add_argument("--delta-min", type=_unit, required=True)
+    p.add_argument("--steps", type=_int_from(2), required=True)
 
     p = add("gaps", _cmd_gaps, "gap sequence of the delta-approximation")
-    p.add_argument("--delta-res", type=_number, required=True)
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--delta-res", type=_unit, required=True)
+    p.add_argument("--top", type=_int_from(0), default=None)
 
     p = add("scaling", _cmd_scaling, "fit gap values against k**(-1/s)")
-    p.add_argument("--delta-res", type=_number, required=True)
+    p.add_argument("--delta-res", type=_unit, required=True)
 
     p = add("fibers", _cmd_fibers, "interval approximation of a fiber set")
     p.add_argument("--coding", type=_coding, required=True,
                    help="comma-separated row indices, cycled to --depth")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_int_from(1), default=6)
 
     p = add("check-ud", _cmd_check_ud, "uniform-disconnectedness verdict")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-depth", type=_int_from(1), default=DEFAULT_MAX_DEPTH)
 
     p = add("chain", _cmd_chain, "epsilon-chain between two attractor points")
-    p.add_argument("--epsilon", type=_number, required=True)
-    p.add_argument("--depth-pad", type=int, default=40)
+    p.add_argument("--epsilon", type=_open_unit, required=True)
+    p.add_argument("--depth-pad", type=_int_from(1), default=40)
 
     p = add("report", _cmd_report, "combined dimensions/UD/gap-scaling JSON")
-    p.add_argument("--delta-res", type=_number, default=1e-3)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-    p.add_argument("--tol", type=_number, default=BISECT_TOL)
+    p.add_argument("--delta-res", type=_unit, default=1e-3)
+    p.add_argument("--max-depth", type=_int_from(1), default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--tol", type=_positive, default=BISECT_TOL)
 
     return parser
 

@@ -6,16 +6,18 @@ rectangles those thresholds are exactly the positive edge weights of a minimum
 spanning tree under the Euclidean set distance between rects (single-linkage
 equivalence), with touching rects pre-merged.
 
-Two independent routes compute it: gap_sequence_mst runs Boruvka phases over a
-spatial hash grid whose cell size doubles per sweep, switching to exact
-cluster-pair scans once few clusters remain; gap_sequence_bruteforce sweeps
-the full distance matrix threshold by threshold with a union-find.  Tests pin
-the two against each other.
+Two independent routes compute it.  gap_sequence_mst runs Borůvka rounds
+over a median-split tree of the rects, in the style of dual-tree Borůvka
+(March, Ram & Gray, "Fast Euclidean Minimum Spanning Tree", KDD 2010): each
+component finds its nearest rect in another component by walking pairs of
+tree nodes level by level as numpy arrays.  component_labels runs the same
+rounds with every search capped at the threshold.  gap_sequence_bruteforce
+sweeps the full distance matrix threshold by threshold with a union-find.
+Tests pin the routes against each other.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +35,6 @@ TIE_REL = 1e-9
 SIGMA_STABILITY = 4.0
 
 ORACLE_CAP = 500
-
-# Candidate-pair budget per grid sweep before falling back to exact scans.
-_MAX_CANDIDATES = 8_000_000
-
-# Switch from grid sweeps to exact cluster-pair scans below this many clusters.
-_CLUSTER_SWITCH = 96
 
 
 @dataclass(frozen=True)
@@ -116,78 +112,6 @@ class _Arrays:
                                         self.y0[j] - self.y1[i]))
         return np.hypot(dx, dy)
 
-    def dist_to_box(self, idx, bx0, by0, bx1, by1) -> np.ndarray:
-        dx = np.maximum(0.0, np.maximum(self.x0[idx] - bx1, bx0 - self.x1[idx]))
-        dy = np.maximum(0.0, np.maximum(self.y0[idx] - by1, by0 - self.y1[idx]))
-        return np.hypot(dx, dy)
-
-    @property
-    def max_extent(self) -> float:
-        return float(max((self.x1 - self.x0).max(), (self.y1 - self.y0).max()))
-
-    @property
-    def bbox_diag(self) -> float:
-        return math.hypot(self.x1.max() - self.x0.min(),
-                          self.y1.max() - self.y0.min())
-
-
-class _TooManyCandidates(Exception):
-    pass
-
-
-def _grid_pairs(arrs: _Arrays, g: float,
-                max_pairs: int = _MAX_CANDIDATES) -> tuple[np.ndarray, np.ndarray]:
-    """Unique candidate pairs from a cell grid of size g.
-
-    Every rect is inserted into all cells its box overlaps, so any pair at
-    distance <= g shares a cell or sits in 8-neighbor cells.
-    """
-    u0 = np.floor(arrs.x0 / g).astype(np.int64)
-    u1 = np.floor(arrs.x1 / g).astype(np.int64)
-    v0 = np.floor(arrs.y0 / g).astype(np.int64)
-    v1 = np.floor(arrs.y1 / g).astype(np.int64)
-    cells: dict[tuple[int, int], list[int]] = {}
-    for k in range(arrs.n):
-        for u in range(u0[k], u1[k] + 1):
-            for v in range(v0[k], v1[k] + 1):
-                cells.setdefault((u, v), []).append(k)
-
-    pairs_i: list[int] = []
-    pairs_j: list[int] = []
-    budget = max_pairs
-
-    def emit(left, right):
-        nonlocal budget
-        budget -= len(left) * len(right) if right is not left else \
-            len(left) * (len(left) - 1) // 2
-        if budget < 0:
-            raise _TooManyCandidates
-        if right is left:
-            for a, b in itertools.combinations(left, 2):
-                pairs_i.append(a)
-                pairs_j.append(b)
-        else:
-            for a in left:
-                for b in right:
-                    pairs_i.append(a)
-                    pairs_j.append(b)
-
-    for (u, v), members in cells.items():
-        emit(members, members)
-        for du, dv in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            other = cells.get((u + du, v + dv))
-            if other:
-                emit(members, other)
-
-    if not pairs_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    i = np.array(pairs_i, dtype=np.int64)
-    j = np.array(pairs_j, dtype=np.int64)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    keys = np.unique(lo * arrs.n + hi)
-    return keys // arrs.n, keys % arrs.n
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -218,40 +142,127 @@ class _UnionFind:
             p = gp
         self.parent = p
 
-    def roots(self, idx) -> np.ndarray:
-        return self.parent[idx]
+
+class _Tree:
+    """Median-split tree over a rect list, stored level by level.
+
+    Level L has 2**L nodes.  Node k spans perm[lo:hi] with lo = k*n >> L and
+    hi = (k+1)*n >> L, so its children are nodes 2k and 2k+1 of level L+1.
+    Building level L sorts each node's range along the wider spread of its
+    rect centres, which makes the two children the halves of a median split.
+    The last level holds single rects, plus empty nodes when n is not a power
+    of two.  `levels` lists (lo, hi, x0, y0, x1, y1) per level, the last four
+    being the node bounding boxes.
+    """
+
+    def __init__(self, arrs: _Arrays):
+        n = arrs.n
+        depth = (n - 1).bit_length()
+        cx, cy = arrs.x0 + arrs.x1, arrs.y0 + arrs.y1
+        perm = np.arange(n)
+        for level in range(depth):
+            lo, hi = self._ranges(n, level)
+            node = np.repeat(np.arange(len(lo)), hi - lo)
+            xs, ys = cx[perm], cy[perm]
+            wide_x = (np.maximum.reduceat(xs, lo) - np.minimum.reduceat(xs, lo)
+                      >= np.maximum.reduceat(ys, lo) - np.minimum.reduceat(ys, lo))
+            perm = perm[np.lexsort((np.where(wide_x[node], xs, ys), node))]
+        self.perm = perm
+        self.levels = []
+        for level in range(depth + 1):
+            lo, hi = self._ranges(n, level)
+            self.levels.append((lo, hi,
+                                np.minimum.reduceat(arrs.x0[perm], lo),
+                                np.minimum.reduceat(arrs.y0[perm], lo),
+                                np.maximum.reduceat(arrs.x1[perm], lo),
+                                np.maximum.reduceat(arrs.y1[perm], lo)))
+
+    @staticmethod
+    def _ranges(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+        k = np.arange(2 ** level + 1, dtype=np.int64)
+        bounds = (k * n) >> level
+        return bounds[:-1], bounds[1:]
+
+
+def _boruvka(arrs: _Arrays, uf: _UnionFind, cap: float) -> list[float]:
+    """Borůvka rounds on the complete graph of rect set distances below `cap`.
+
+    Each round finds, for every component, one rect pair of least distance to
+    another component, then merges these picks through `uf`.  Returns the
+    positive weights of the picks that merged.  Any least pair will do: each
+    pick is the least edge of its component, so going round a cycle of picks
+    the weights never rise and are all equal, and dropping the pick that
+    closes the cycle leaves the weight multiset of the minimum spanning tree,
+    which is unique.  Rounds stop when one component is left or no component
+    has a pick below `cap`.
+
+    A round walks pairs of tree nodes one level at a time.  A node pair is
+    dropped when both nodes lie inside the same component, or when their box
+    distance is not below the larger bound of the components in them: no rect
+    pair inside can then beat a bound, so ties are never chased (coincident
+    rects would otherwise make the walk quadratic).  Bounds start from
+    neighbouring rects in tree order and tighten with one rect pair of every
+    surviving node pair; at the last level these pairs are exact.
+    """
+    tree = _Tree(arrs)
+    perm, n = tree.perm, arrs.n
+    weights: list[float] = []
+    while uf.components > 1:
+        uf.compress()
+        comp = uf.parent
+        best = np.full(n, cap)  # per component root: least distance found
+        edge = np.full(n, -1, dtype=np.int64)  # its rect pair, as i * n + j
+
+        def offer(i, j):
+            cross = comp[i] != comp[j]
+            i, j = i[cross], j[cross]
+            c = np.concatenate([comp[i], comp[j]])
+            d = np.tile(arrs.pair_dist(i, j), 2)
+            e = np.tile(i * n + j, 2)
+            np.minimum.at(best, c, d)
+            hit = d == best[c]
+            edge[c[hit]] = e[hit]
+
+        offer(perm[:-1], perm[1:])
+        csort = comp[perm]
+        a = b = np.zeros(1, dtype=np.int64)
+        for level, (lo, hi, x0, y0, x1, y1) in enumerate(tree.levels):
+            if level:  # child pairs with a <= b: three of a self pair, else four
+                a, b = (np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1]),
+                        np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1]))
+                a, b = a[a <= b], b[a <= b]
+            cmin = np.minimum.reduceat(csort, lo)
+            single = cmin == np.maximum.reduceat(csort, lo)
+            bound = np.maximum.reduceat(best[csort], lo)
+            dx = np.maximum(0.0, np.maximum(x0[a] - x1[b], x0[b] - x1[a]))
+            dy = np.maximum(0.0, np.maximum(y0[a] - y1[b], y0[b] - y1[a]))
+            keep = ((hi[a] > lo[a]) & (hi[b] > lo[b])
+                    & ~(single[a] & single[b] & (cmin[a] == cmin[b]))
+                    & (np.hypot(dx, dy) < np.maximum(bound[a], bound[b])))
+            a, b = a[keep], b[keep]
+            if len(a) == 0:
+                break
+            offer(perm[lo[a]], perm[hi[b] - 1])
+
+        picks = np.flatnonzero(best < cap)
+        if len(picks) == 0:
+            break
+        for c in picks:
+            i, j = divmod(int(edge[c]), n)
+            if uf.union(i, j) and best[c] > 0.0:
+                weights.append(float(best[c]))
+    return weights
 
 
 def component_labels(rects, delta: float) -> np.ndarray:
     """Component label per rect, joining pairs at set distance <= delta (closed)."""
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not rects:
         raise EmptyInput("no rects")
     arrs = _Arrays(rects)
     uf = _UnionFind(arrs.n)
-    if arrs.n == 1:
-        return uf.parent
-    g = max(delta, arrs.max_extent, arrs.bbox_diag / 64.0)
-    if g == 0.0:  # all rects are the same point
-        return np.zeros(arrs.n, dtype=np.int64)
-    try:
-        i, j = _grid_pairs(arrs, g)
-        d = arrs.pair_dist(i, j)
-        for a, b in zip(i[d <= delta], j[d <= delta]):
-            uf.union(int(a), int(b))
-    except _TooManyCandidates:
-        # Dense fallback: chunked all-pairs sweep.
-        chunk = max(1, _MAX_CANDIDATES // arrs.n)
-        for start in range(0, arrs.n, chunk):
-            rows = np.arange(start, min(start + chunk, arrs.n))
-            cols = np.arange(arrs.n)
-            ii, jj = np.meshgrid(rows, cols, indexing="ij")
-            mask = ii < jj
-            ii, jj = ii[mask], jj[mask]
-            d = arrs.pair_dist(ii, jj)
-            for a, b in zip(ii[d <= delta], jj[d <= delta]):
-                uf.union(int(a), int(b))
+    _boruvka(arrs, uf, cap=math.nextafter(delta, math.inf))
     uf.compress()
     return uf.parent.copy()
 
@@ -261,134 +272,16 @@ def n_delta_components(rects, delta: float) -> int:
     return len(np.unique(component_labels(rects, delta)))
 
 
-def _min_dist_clusters(arrs: _Arrays, members_a, members_b, hull_a, hull_b,
-                       upper: float) -> float:
-    """Exact min distance between two clusters, pruned by hulls and `upper`."""
-    if upper < math.inf:
-        members_a = members_a[arrs.dist_to_box(members_a, *hull_b) <= upper]
-        members_b = members_b[arrs.dist_to_box(members_b, *hull_a) <= upper]
-    if len(members_a) == 0 or len(members_b) == 0:
-        return math.inf
-    best = math.inf
-    chunk = max(1, _MAX_CANDIDATES // max(1, len(members_b)))
-    for start in range(0, len(members_a), chunk):
-        sub = members_a[start:start + chunk]
-        ii = np.repeat(sub, len(members_b))
-        jj = np.tile(members_b, len(sub))
-        best = min(best, float(arrs.pair_dist(ii, jj).min()))
-    return best
-
-
-def _exact_rounds(arrs: _Arrays, uf: _UnionFind, weights: list[float]) -> None:
-    """Finish the MST by direct cluster-pair scans (few clusters left)."""
-    while uf.components > 1:
-        uf.compress()
-        roots_all = uf.roots(np.arange(arrs.n))
-        order = np.argsort(roots_all, kind="stable")
-        sorted_roots = roots_all[order]
-        uniq, starts = np.unique(sorted_roots, return_index=True)
-        count = len(uniq)
-        members = [order[starts[k]: starts[k + 1] if k + 1 < count else arrs.n]
-                   for k in range(count)]
-        hx0 = np.array([arrs.x0[m].min() for m in members])
-        hy0 = np.array([arrs.y0[m].min() for m in members])
-        hx1 = np.array([arrs.x1[m].max() for m in members])
-        hy1 = np.array([arrs.y1[m].max() for m in members])
-        hdx = np.maximum(0.0, np.maximum(hx0[:, None] - hx1[None, :],
-                                         hx0[None, :] - hx1[:, None]))
-        hdy = np.maximum(0.0, np.maximum(hy0[:, None] - hy1[None, :],
-                                         hy0[None, :] - hy1[:, None]))
-        hull_d = np.hypot(hdx, hdy)
-
-        # Minimum outgoing edge per cluster, hull-distance pruned.
-        chosen: list[tuple[float, int, int]] = []
-        for a in range(count):
-            near = np.argsort(hull_d[a], kind="stable")
-            best = math.inf
-            best_b = -1
-            for b in near:
-                if b == a:
-                    continue
-                if hull_d[a, b] >= best:
-                    break
-                d = _min_dist_clusters(arrs, members[a], members[b],
-                                       (hx0[a], hy0[a], hx1[a], hy1[a]),
-                                       (hx0[b], hy0[b], hx1[b], hy1[b]),
-                                       best)
-                if d < best or (d == best and (best_b < 0 or b < best_b)):
-                    best, best_b = d, int(b)
-            if best_b >= 0:
-                lo, hi = min(a, best_b), max(a, best_b)
-                chosen.append((best, lo, hi))
-
-        merged_any = False
-        for d, a, b in sorted(chosen):
-            if uf.union(int(uniq[a]), int(uniq[b])):
-                merged_any = True
-                if d > 0.0:
-                    weights.append(d)
-        if not merged_any:  # cannot happen: some cluster always has a min edge
-            raise AssertionError("exact MST round made no progress")
-
-
 def gap_sequence_mst(rects) -> GapSequence:
-    """Gap sequence of a finite rect union via a grid-accelerated MST.
+    """Gap sequence of a finite rect union via a tree-based Borůvka MST.
 
-    Boruvka phases: per sweep, candidate pairs come from a spatial grid of
-    cell size g (doubling each sweep); a cluster merges along its minimum
-    candidate edge only when that edge's weight is <= g, which guarantees it
-    is the cluster's true nearest neighbor.  Touching rects merge silently.
+    Touching rects merge silently; every positive edge weight of the minimum
+    spanning tree is one gap.
     """
     if not rects:
         raise EmptyInput("no rects")
-    if len(rects) == 1:
-        return GapSequence(entries=())
     arrs = _Arrays(rects)
-    uf = _UnionFind(arrs.n)
-    weights: list[float] = []
-
-    g = max(arrs.max_extent, arrs.bbox_diag / 64.0)
-    if g == 0.0:
-        return GapSequence(entries=())  # all rects are one point
-
-    while uf.components > 1:
-        if uf.components <= _CLUSTER_SWITCH:
-            _exact_rounds(arrs, uf, weights)
-            break
-        try:
-            i, j = _grid_pairs(arrs, g)
-        except _TooManyCandidates:
-            _exact_rounds(arrs, uf, weights)
-            break
-        d = arrs.pair_dist(i, j)
-        verified = d <= g  # grid candidates are complete only up to distance g
-        i, j, d = i[verified], j[verified], d[verified]
-        for a, b in zip(i[d == 0.0], j[d == 0.0]):
-            uf.union(int(a), int(b))
-        pos = d > 0.0
-        i, j, d = i[pos], j[pos], d[pos]
-
-        while uf.components > 1:
-            uf.compress()
-            ri, rj = uf.roots(i), uf.roots(j)
-            cross = ri != rj
-            if not cross.any():
-                break
-            a = np.minimum(ri[cross], rj[cross])
-            b = np.maximum(ri[cross], rj[cross])
-            w = d[cross]
-            order = np.lexsort((b, a, w))
-            a, b, w = a[order], b[order], w[order]
-            ranks = np.arange(len(w))
-            min_rank = np.full(arrs.n, len(w), dtype=np.int64)
-            np.minimum.at(min_rank, a, ranks)
-            np.minimum.at(min_rank, b, ranks)
-            chosen = np.unique(min_rank[min_rank < len(w)])
-            for k in chosen:
-                if uf.union(int(a[k]), int(b[k])):
-                    weights.append(float(w[k]))
-        g *= 2.0
-
+    weights = _boruvka(arrs, _UnionFind(arrs.n), math.inf)
     return GapSequence(entries=_aggregate(weights))
 
 

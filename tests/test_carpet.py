@@ -117,6 +117,25 @@ class TestValidation:
     def test_negative_b(self):
         assert "b_range" in violations_of([(-0.5, []), (1.5, [(0.3, 0.0)])])
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("field", ["b", "a", "c"])
+    def test_non_finite_rejected(self, field, value):
+        # Python's json reads NaN/Infinity literals; the spec must not pass
+        numbers = {"b": "0.5", "a": "0.25", "c": "0"}
+        numbers[field] = value
+        text = ('{"rows": [{"b": %(b)s, "cells": [{"a": %(a)s, "c": %(c)s}]},'
+                ' {"b": 0.5, "cells": []}]}' % numbers)
+        with pytest.raises(SchemaError, match="finite"):
+            lg.parse_spec(text)
+
+    @pytest.mark.parametrize("field", ["b", "a", "c"])
+    def test_nan_fails_validation(self, field):
+        # specs built in code skip the parser; validate itself fails closed
+        b, a, c = (math.nan if f == field else v
+                   for f, v in (("b", 0.5), ("a", 0.25), ("c", 0.0)))
+        spec = lg.CarpetSpec((lg.RowSpec(b, (lg.Cell(a, c),)), lg.RowSpec(0.5, ())))
+        assert lg.validate(spec)
+
 
 class TestDerived:
     def test_digits_and_rows(self, cd):

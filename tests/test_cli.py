@@ -46,6 +46,16 @@ class TestValidate:
         assert payload["valid"] is False
         assert payload["violations"][0]["constraint"] == "schema"
 
+    def test_non_finite_number(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"rows": [{"b": 0.5, "cells": [{"a": NaN, "c": 0}]},'
+                       ' {"b": 0.5, "cells": []}]}')
+        code, out, _ = run(capsys, ["validate", str(bad)])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        assert "finite" in payload["violations"][0]["message"]
+
     def test_unparseable_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -205,6 +215,12 @@ class TestReport:
         assert payload["gap_scaling"]["gap_count"] >= 10
         assert payload["gap_scaling_skipped"] is None
 
+    def test_mcm_at_defaults(self, capsys):
+        # delta_res 1e-3 gives 59049 thin touching rects
+        code, out, _ = run(capsys, ["report", MCM])
+        assert code == 0
+        assert json.loads(out)["ud"]["kind"] == "CertifiedNotUD"
+
     def test_skips_scaling_when_too_few_gaps(self, capsys):
         code, out, _ = run(capsys, ["report", TOUCHING, "--delta-res", "1/8"])
         assert code == 0
@@ -228,6 +244,22 @@ class TestBudgetAndUsage:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["frobnicate", CD])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gaps", CD, "--delta-res", "0"],
+        ["gaps", CD, "--delta-res", "1/0"],
+        ["report", CD, "--delta-res", "nan"],
+        ["boxcount", CD, "--delta-max", "1/3", "--delta-min", "1/27", "--steps", "1"],
+        ["boxcount", CD, "--delta-max", "1/27", "--delta-min", "1/3", "--steps", "3"],
+        ["check-ud", CD, "--max-depth", "0"],
+        ["chain", MCM, "--epsilon", "2"],
+        ["render", CD, "--delta", "0"],
+        ["fibers", MCM, "--coding", "1,2", "--depth", "0"],
+    ])
+    def test_bad_parameter_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "error:" in err
 
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         out = tmp_path / "dim.json"

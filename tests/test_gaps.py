@@ -1,9 +1,11 @@
 """Gap sequences: rect distances, MST vs oracle routes, components, scaling.
 
-The grid MST is checked against two independent routes: the quadratic
-union-find oracle and a pure-python Prim on tiny inputs.
+The tree MST is checked against two independent routes: the quadratic
+union-find oracle and a pure-python Prim on tiny inputs.  Component labels
+are checked against a pure-python union-find over all pairs.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +20,13 @@ from lgcarpet.errors import EmptyInput, OracleCapExceeded, TooFewGaps
 coord = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 extent = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
 rect_strategy = st.builds(Rect, coord, coord, extent, extent)
+
+# A coarse lattice gives coincident and touching rects and exactly tied
+# distances (multiples of 1/4 are exact in binary).
+lattice_coord = st.integers(0, 8).map(lambda k: k / 4)
+lattice_extent = st.integers(0, 2).map(lambda k: k / 4)
+lattice_rect = st.builds(Rect, lattice_coord, lattice_coord,
+                         lattice_extent, lattice_extent)
 
 
 def prim_gap_values(rects):
@@ -38,6 +47,27 @@ def prim_gap_values(rects):
                 if d < best[v]:
                     best[v] = d
     return sorted(weights, reverse=True)
+
+
+def oracle_labels(rects, delta):
+    """Pure-python union-find over every pair at rect_distance <= delta."""
+    parent = list(range(len(rects)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(len(rects)), 2):
+        if lg.rect_distance(rects[i], rects[j]) <= delta:
+            parent[find(i)] = find(j)
+    return [find(k) for k in range(len(rects))]
+
+
+def partition(labels):
+    """Canonical labelling: each rect gets the first index sharing its label."""
+    first = {}
+    return [first.setdefault(int(label), k) for k, label in enumerate(labels)]
 
 
 class TestRectDistance:
@@ -94,6 +124,12 @@ class TestGapSequenceShape:
         rects = [Rect(0.5, 0.5, 0, 0)] * 4
         assert lg.gap_sequence_mst(rects).entries == ()
 
+    def test_many_coincident_rects(self):
+        # every pair ties at distance 0; the walk must not visit them all
+        rects = [Rect(0.5, 0.5, 0.1, 0.0)] * 20000
+        assert lg.gap_sequence_mst(rects).entries == ()
+        assert len(set(lg.component_labels(rects, 0.0))) == 1
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             lg.gap_sequence_mst([])
@@ -127,6 +163,11 @@ class TestMSTAgainstOracles:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12)
+
+    @given(st.lists(lattice_rect, min_size=2, max_size=40))
+    def test_lattice_ties_match_bruteforce(self, rects):
+        assert lg.gap_sequence_mst(rects).entries == \
+            lg.gap_sequence_bruteforce(rects).entries
 
     def test_oracle_cap(self):
         rects = synth.random_rects(11, seed=0)
@@ -180,6 +221,17 @@ class TestComponents:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             lg.component_labels([], 0.1)
+
+    @given(st.lists(lattice_rect, min_size=1, max_size=40), st.data())
+    def test_lattice_labels_match_oracle(self, rects, data):
+        # thresholds at an exact pair distance (closed: the pair joins) and
+        # just below it (the pair stays apart)
+        dists = sorted({0.0} | {lg.rect_distance(p, q)
+                                for p, q in itertools.combinations(rects, 2)})
+        delta = data.draw(st.sampled_from(dists))
+        for d in {delta, max(0.0, math.nextafter(delta, -math.inf))}:
+            assert partition(lg.component_labels(rects, d)) == \
+                partition(oracle_labels(rects, d))
 
     def test_matches_bruteforce_count(self):
         rects = synth.random_rects(80, seed=7)
