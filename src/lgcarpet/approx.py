@@ -3,7 +3,8 @@
 The stopping set at scale delta covers the attractor by cylinder rectangles of
 height at most delta (and width smaller than height times one row ratio), so
 counting occupied grid cells of size delta gives the covering number N_delta
-up to a bounded factor.
+up to a bounded factor.  The cover is the `Rects` columns of the cylinder walk
+in `carpet`; the grid count and the SVG read those columns directly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Rect, enumerate_depth, enumerate_stopping
+from .carpet import CarpetSpec, Rects, enumerate_depth, enumerate_stopping
 from .errors import BudgetExceeded
 
 # Relative snap applied to coordinate/delta before flooring, so that edges
@@ -26,7 +27,7 @@ MAX_GRID_CELLS = 50_000_000
 @dataclass(frozen=True)
 class ApproxSet:
     delta: float
-    rects: tuple[Rect, ...]
+    rects: Rects
     spec_hash: str
 
 
@@ -50,7 +51,7 @@ def approx_set(spec: CarpetSpec, delta: float,
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     cyls = enumerate_stopping(spec, delta, max_cylinders=max_cylinders)
-    return ApproxSet(delta, tuple(c.rect for c in cyls), spec.spec_hash)
+    return ApproxSet(delta, cyls.rects, spec.spec_hash)
 
 
 def _grid_indices(vals: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -73,12 +74,8 @@ def count_grid_cells(rects, delta: float) -> int:
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not rects:
-        return 0
-    x0 = np.array([r.x0 for r in rects])
-    y0 = np.array([r.y0 for r in rects])
-    x1 = np.array([r.x1 for r in rects])
-    y1 = np.array([r.y1 for r in rects])
+    cols = Rects.of(rects)
+    x0, y0, x1, y1 = cols.x0, cols.y0, cols.x1, cols.y1
 
     u0, _ = _grid_indices(x0, delta)
     v0, _ = _grid_indices(y0, delta)
@@ -129,18 +126,18 @@ def render_svg(spec: CarpetSpec, depth: int | None = None,
     if (depth is None) == (delta is None):
         raise ValueError("give exactly one of depth or delta")
     if depth is not None:
-        rects = [c.rect for c in enumerate_depth(spec, depth)]
+        rects = enumerate_depth(spec, depth).rects
     else:
-        rects = list(approx_set(spec, delta).rects)
+        rects = approx_set(spec, delta).rects
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}"'
         ' viewBox="0 0 1 1">',
         '<g fill="black" stroke="none" opacity="1">',
     ]
-    for r in rects:
-        lines.append(
-            f'<rect x="{r.x0!r}" y="{1.0 - r.y1!r}" '
-            f'width="{r.w!r}" height="{r.h!r}"/>')
+    # tolist() gives Python floats, whose repr is the shortest round trip.
+    for x, y, w, h in zip(rects.x0.tolist(), (1.0 - rects.y1).tolist(),
+                          rects.w.tolist(), rects.h.tolist()):
+        lines.append(f'<rect x="{x!r}" y="{y!r}" width="{w!r}" height="{h!r}"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Carpet specs and cylinder enumeration.
+"""Carpet specs, the columnar rect layout and the cylinder walk.
 
 A carpet is described by horizontal rows stacked bottom to top.  Row i has
 height ratio b_i (the b_i sum to 1) and carries n_i >= 0 cells; cell j of row i
@@ -9,6 +9,11 @@ defines the affine contraction
 
 and the attractor is the unique compact set E with E = union of S_ij(E).
 Cylinders are images of the unit square under finite digit words.
+
+Cylinder families (all words of one length, or the stopping set of a scale)
+come from one breadth-first walk of the word tree, one numpy broadcast per
+level, as float64 rect columns (`Rects`, the one rect layout the package
+computes on) plus a digit-index matrix, not as one Python object per word.
 """
 
 from __future__ import annotations
@@ -18,12 +23,15 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetExceeded, EmptyAttractor, InvalidDigit, SchemaError
+import numpy as np
+
+from .errors import BudgetExceeded, EmptyAttractor, InvalidDigit, InvalidSetting, SchemaError
 
 # Hard cap on enumerated cylinders; LG_MAX_CYLINDERS overrides at runtime.
 DEFAULT_MAX_CYLINDERS = 10_000_000
@@ -65,6 +73,29 @@ class Rect:
 UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
 
 
+class Rects(Sequence):
+    """Rects as float64 columns x0, y0, w, h; items are `Rect`s of Python floats."""
+
+    def __init__(self, x0: np.ndarray, y0: np.ndarray, w: np.ndarray, h: np.ndarray):
+        self.x0, self.y0, self.w, self.h = x0, y0, w, h
+        self.x1, self.y1 = x0 + w, y0 + h
+
+    @classmethod
+    def of(cls, rects) -> "Rects":
+        """The columns of `rects`: a `Rects` as is, or any iterable of `Rect`."""
+        if isinstance(rects, Rects):
+            return rects
+        cols = np.array([(r.x0, r.y0, r.w, r.h) for r in rects], dtype=float)
+        return cls(*cols.reshape(-1, 4).T.copy())
+
+    def __len__(self) -> int:
+        return len(self.x0)
+
+    def __getitem__(self, k: int) -> Rect:
+        return Rect(float(self.x0[k]), float(self.y0[k]),
+                    float(self.w[k]), float(self.h[k]))
+
+
 @dataclass(frozen=True)
 class Cylinder:
     """Image of the unit square under the word's map, with its two scale products."""
@@ -73,6 +104,22 @@ class Cylinder:
     rect: Rect
     a_prod: float
     b_prod: float
+
+
+class Cylinders(Sequence):
+    """Cylinders in lexicographic word order: their `rects`, and digit indices
+    of word k in row k of `words`, padded with -1.  Items are `Cylinder`s."""
+
+    def __init__(self, digits: tuple[Digit, ...], words: np.ndarray, rects: Rects):
+        self.digits, self.words, self.rects = digits, words, rects
+
+    def __len__(self) -> int:
+        return len(self.rects)
+
+    def __getitem__(self, k: int) -> Cylinder:
+        rect = self.rects[k]
+        word = tuple(self.digits[g] for g in self.words[k].tolist() if g >= 0)
+        return Cylinder(word, rect, rect.w, rect.h)
 
 
 @dataclass(frozen=True)
@@ -288,58 +335,73 @@ def apply_word(spec: CarpetSpec, word: Iterable[Digit], target):
     return (sx * x + tx, sy * y + ty)
 
 
-def _cylinder(spec: CarpetSpec, word: Word) -> Cylinder:
-    sx, tx, sy, ty = word_map(spec, word)
-    return Cylinder(word, Rect(tx, ty, sx, sy), sx, sy)
-
-
 def _max_cylinders(override: int | None) -> int:
+    """The override, else LG_MAX_CYLINDERS (an integer >= 1), else the default."""
     if override is not None:
         return override
-    return int(os.environ.get("LG_MAX_CYLINDERS", DEFAULT_MAX_CYLINDERS))
+    text = os.environ.get("LG_MAX_CYLINDERS", str(DEFAULT_MAX_CYLINDERS))
+    if not (text.isdecimal() and int(text) >= 1):
+        raise InvalidSetting(f"LG_MAX_CYLINDERS must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _walk(scale: np.ndarray, offset: np.ndarray, cap: int, what: str,
+          delta: float | None = None, depth: int | None = None):
+    """Breadth-first walk of the word tree of one digit table.
+
+    Digit g maps axis k by u -> scale[k, g] * u + offset[k, g]; the last axis
+    is the height.  A word stops at length `depth`, or else once it is
+    nonempty with height product <= delta.  Each level keeps stopped rows in
+    place and replaces each live row by its children, so rows stay in
+    lexicographic order; t + s * offset[g] and s * scale[g] are word_map's
+    float operations in its order.  Every live word has a stopping descendant,
+    so the cap refuses exactly the sets above it, before they are built.
+    Returns the words as digit indices padded with -1 and their s, t columns.
+    """
+    axes, g = scale.shape
+    words = np.zeros((1, 0), dtype=int)
+    s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
+    for level in itertools.count():
+        live &= (level != depth) if depth is not None else (level == 0) | (s[-1] > delta)
+        grow = np.where(live, g, 1)
+        if grow.sum() > cap:
+            raise BudgetExceeded(f"{what} exceeds cap {cap} by length {level + 1}")
+        if not live.any():
+            return words, s, t
+        parent = np.repeat(np.arange(len(live)), grow)
+        digit = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
+        live = live[parent]
+        words = np.column_stack([words[parent], np.where(live, digit, -1)])
+        t = np.where(live, t[:, parent] + s[:, parent] * offset[:, digit], t[:, parent])
+        s = np.where(live, s[:, parent] * scale[:, digit], s[:, parent])
+
+
+def _cylinders(spec: CarpetSpec, cap: int | None, what: str, **stop) -> Cylinders:
+    if not spec.digits:
+        raise EmptyAttractor("every row is empty")
+    cells, rows = [spec.cell(i, j) for i, j in spec.digits], [i - 1 for i, _ in spec.digits]
+    scale = np.array([[c.a for c in cells], [spec.rows[i].b for i in rows]])
+    offset = np.array([[c.c for c in cells], [spec.d[i] for i in rows]])
+    words, s, t = _walk(scale, offset, _max_cylinders(cap), what, **stop)
+    return Cylinders(spec.digits, words, Rects(t[0], t[1], s[0], s[1]))
 
 
 def enumerate_depth(spec: CarpetSpec, depth: int,
-                    max_cylinders: int | None = None) -> list[Cylinder]:
+                    max_cylinders: int | None = None) -> Cylinders:
     """All cylinders of exactly `depth` digits, in lexicographic word order."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if not spec.digits:
-        raise EmptyAttractor("every row is empty")
-    cap = _max_cylinders(max_cylinders)
-    if len(spec.digits) ** depth > cap:
-        raise BudgetExceeded(
-            f"depth {depth} needs {len(spec.digits) ** depth} cylinders (cap {cap})")
-    return [_cylinder(spec, word)
-            for word in itertools.product(spec.digits, repeat=depth)]
+    return _cylinders(spec, max_cylinders, f"depth {depth}", depth=depth)
 
 
 def enumerate_stopping(spec: CarpetSpec, delta: float,
-                       max_cylinders: int | None = None) -> list[Cylinder]:
+                       max_cylinders: int | None = None) -> Cylinders:
     """Shortest-word cylinders whose height product just drops to <= delta.
 
     A word stops when its b-product is <= delta while its parent's is > delta,
     so the stopping set partitions the attractor into pieces of height in
     (delta * b_min, delta].  delta >= 1 stops every word at length 1.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not spec.digits:
-        raise EmptyAttractor("every row is empty")
-    cap = _max_cylinders(max_cylinders)
-    out: list[Cylinder] = []
-
-    # Preorder DFS; pushing digits in reverse makes pops lexicographic, and
-    # stopped words are leaves, so the emission order is lexicographic too.
-    stack: list[tuple[Word, float]] = [((), 1.0)]
-    while stack:
-        word, b_prod = stack.pop()
-        if word and b_prod <= delta:
-            if len(out) >= cap:
-                raise BudgetExceeded(
-                    f"stopping set at delta={delta} exceeds cap {cap}")
-            out.append(_cylinder(spec, word))
-            continue
-        for digit in reversed(spec.digits):
-            stack.append((word + (digit,), b_prod * spec.rows[digit[0] - 1].b))
-    return out
+    return _cylinders(spec, max_cylinders, f"stopping set at delta={delta}", delta=delta)

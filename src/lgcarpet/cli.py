@@ -4,7 +4,7 @@ Subcommands: validate, dimension, render, boxcount, gaps, scaling, fibers,
 check-ud, chain, report.  Outputs go to --out when given, else to stdout.
 Exit codes: 0 success (Undetermined verdicts are success), 1 domain errors,
 2 usage errors.  The environment variable LG_MAX_CYLINDERS overrides the
-cylinder enumeration cap.
+cylinder enumeration cap; it must be an integer >= 1.
 
 Reports never embed wall-clock timings so that two runs on the same input
 produce byte-identical files.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,21 +26,6 @@ from .disconnect import DEFAULT_MAX_DEPTH, build_epsilon_chain, check_uniform_di
 from .errors import BudgetExceeded, CarpetError, SchemaError, TooFewGaps
 from .gaps import gap_sequence_of_carpet, scaling_fit
 from .structure import fiber_approx
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Combined machine-readable result of a `report` run."""
-
-    spec_hash: str
-    command: str
-    parameters: dict
-    dimensions: dict
-    ud: dict
-    quasisymmetric_to_cantor: bool
-    gap_scaling: dict | None
-    gap_scaling_skipped: str | None
-    outputs: list
 
 
 def _number(text: str) -> float:
@@ -111,10 +96,6 @@ def write_json(out: str | None, payload) -> None:
     write_text(out, json.dumps(payload, indent=2) + "\n")
 
 
-def write_svg(out: str | None, svg: str) -> None:
-    write_text(out, svg)
-
-
 def _load_valid(path: str) -> CarpetSpec:
     """Load a spec and refuse to proceed when it violates the constraints."""
     spec = load_spec(path)
@@ -143,10 +124,7 @@ def _cmd_validate(args) -> int:
 def _cmd_dimension(args) -> int:
     spec = _load_valid(args.spec)
     res = solve_bdim(spec, tol=args.tol)
-    write_json(args.out, {"s1": res.s1, "s": res.s,
-                          "residual_s1": res.residual_s1,
-                          "residual_s": res.residual_s,
-                          "iterations": res.iterations})
+    write_json(args.out, asdict(res))
     return 0
 
 
@@ -157,7 +135,7 @@ def _cmd_render(args) -> int:
         return 2
     spec = _load_valid(args.spec)
     svg = render_svg(spec, depth=args.depth, delta=args.delta, size=args.size)
-    write_svg(args.out, svg)
+    write_text(args.out, svg)
     return 0
 
 
@@ -179,20 +157,23 @@ def _cmd_gaps(args) -> int:
     return 0
 
 
-def _cmd_scaling(args) -> int:
-    spec = _load_valid(args.spec)
-    res = solve_bdim(spec)
-    seq = gap_sequence_of_carpet(spec, args.delta_res)
-    fit = scaling_fit(seq, res.s)
-    write_json(args.out, {
+def _gap_scaling(spec: CarpetSpec, delta_res: float, s: float) -> dict:
+    seq = gap_sequence_of_carpet(spec, delta_res)
+    fit = scaling_fit(seq, s)
+    return {
         "slope": fit.slope,
-        "expected_slope": -1.0 / res.s,
+        "expected_slope": -1.0 / s,
         "intercept": fit.intercept,
         "r2": fit.r2,
         "ratio_band": list(fit.ratio_band),
         "gap_count": seq.total_multiplicity,
         "value_error": seq.value_error,
-    })
+    }
+
+
+def _cmd_scaling(args) -> int:
+    spec = _load_valid(args.spec)
+    write_json(args.out, _gap_scaling(spec, args.delta_res, solve_bdim(spec).s))
     return 0
 
 
@@ -208,13 +189,7 @@ def _cmd_fibers(args) -> int:
 def _cmd_check_ud(args) -> int:
     spec = _load_valid(args.spec)
     verdict = check_uniform_disconnectedness(spec, max_depth=args.max_depth)
-    write_json(args.out, {
-        "kind": verdict.kind,
-        "evidence": verdict.evidence,
-        "depth_used": verdict.depth_used,
-        "diameter_bound": verdict.diameter_bound,
-        "quasisymmetric_to_cantor": verdict.quasisymmetric_to_cantor,
-    })
+    write_json(args.out, asdict(verdict))
     return 0
 
 
@@ -233,38 +208,24 @@ def _cmd_report(args) -> int:
     gap_scaling = None
     skipped = None
     try:
-        seq = gap_sequence_of_carpet(spec, args.delta_res)
-        fit = scaling_fit(seq, res.s)
-        gap_scaling = {
-            "delta_res": args.delta_res,
-            "slope": fit.slope,
-            "expected_slope": -1.0 / res.s,
-            "intercept": fit.intercept,
-            "r2": fit.r2,
-            "ratio_band": list(fit.ratio_band),
-            "gap_count": seq.total_multiplicity,
-            "value_error": seq.value_error,
-        }
+        gap_scaling = {"delta_res": args.delta_res,
+                       **_gap_scaling(spec, args.delta_res, res.s)}
     except (TooFewGaps, BudgetExceeded) as exc:
         skipped = f"{type(exc).__name__}: {exc}"
-    report = RunReport(
-        spec_hash=spec.spec_hash,
-        command="report",
-        parameters={"delta_res": args.delta_res, "max_depth": args.max_depth,
-                    "tol": args.tol},
-        dimensions={"s1": res.s1, "s": res.s,
-                    "residual_s1": res.residual_s1,
-                    "residual_s": res.residual_s,
-                    "iterations": res.iterations},
-        ud={"kind": verdict.kind, "evidence": verdict.evidence,
-            "depth_used": verdict.depth_used,
-            "diameter_bound": verdict.diameter_bound},
-        quasisymmetric_to_cantor=verdict.quasisymmetric_to_cantor,
-        gap_scaling=gap_scaling,
-        gap_scaling_skipped=skipped,
-        outputs=[args.out] if args.out else [],
-    )
-    write_json(args.out, asdict(report))
+    write_json(args.out, {
+        "spec_hash": spec.spec_hash,
+        "command": "report",
+        "parameters": {"delta_res": args.delta_res, "max_depth": args.max_depth,
+                       "tol": args.tol},
+        "dimensions": asdict(res),
+        "ud": {"kind": verdict.kind, "evidence": verdict.evidence,
+               "depth_used": verdict.depth_used,
+               "diameter_bound": verdict.diameter_bound},
+        "quasisymmetric_to_cantor": verdict.quasisymmetric_to_cantor,
+        "gap_scaling": gap_scaling,
+        "gap_scaling_skipped": skipped,
+        "outputs": [args.out] if args.out else [],
+    })
     return 0
 
 
@@ -339,3 +300,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

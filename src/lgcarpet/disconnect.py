@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, apply_word, enumerate_depth, word_map
+from .carpet import CarpetSpec, Rects, apply_word, enumerate_depth, word_map
 from .errors import BudgetExceeded, ChainUnavailable, VerificationFailed
 from .gaps import component_labels
 from .structure import y_codings
@@ -56,17 +56,12 @@ class TDCertificate:
     bounds_by_depth: tuple[float, ...]
 
 
-def _touching_diameter(rects) -> float:
-    labels = component_labels(rects, 0.0)
-    x0 = np.array([r.x0 for r in rects])
-    y0 = np.array([r.y0 for r in rects])
-    x1 = np.array([r.x1 for r in rects])
-    y1 = np.array([r.y1 for r in rects])
+def _touching_diameter(rects: Rects, labels: np.ndarray) -> float:
     best = 0.0
     for lab in np.unique(labels):
         sel = labels == lab
-        diag = math.hypot(x1[sel].max() - x0[sel].min(),
-                          y1[sel].max() - y0[sel].min())
+        diag = math.hypot(rects.x1[sel].max() - rects.x0[sel].min(),
+                          rects.y1[sel].max() - rects.y0[sel].min())
         best = max(best, diag)
     return best
 
@@ -80,7 +75,7 @@ def certify_totally_disconnected(spec: CarpetSpec,
     bounds: list[float] = []
     for depth in range(1, max_depth + 1):
         try:
-            rects = [c.rect for c in enumerate_depth(spec, depth, max_cylinders)]
+            rects = enumerate_depth(spec, depth, max_cylinders).rects
         except BudgetExceeded:
             if not bounds:
                 return TDCertificate("undetermined", 0, math.sqrt(2.0), ())
@@ -88,7 +83,7 @@ def certify_totally_disconnected(spec: CarpetSpec,
         labels = component_labels(rects, 0.0)
         if len(np.unique(labels)) == len(rects):
             return TDCertificate("certified", depth, 0.0, tuple(bounds))
-        bounds.append(_touching_diameter(rects))
+        bounds.append(_touching_diameter(rects, labels))
     return TDCertificate("diameter_bound", len(bounds), bounds[-1], tuple(bounds))
 
 

@@ -17,6 +17,10 @@ class InvalidDigit(CarpetError):
     """A word refers to a row/cell index that does not exist in the spec."""
 
 
+class InvalidSetting(CarpetError):
+    """An environment variable holds a value outside its documented domain."""
+
+
 class BudgetExceeded(CarpetError):
     """Cylinder enumeration would produce more pieces than the configured cap."""
 

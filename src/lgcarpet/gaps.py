@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import approx_set
-from .carpet import CarpetSpec, Rect
+from .carpet import CarpetSpec, Rect, Rects
 from .errors import EmptyInput, OracleCapExceeded, TooFewGaps
 
 # Values within this relative tolerance aggregate into one gap entry.
@@ -95,22 +95,11 @@ def _aggregate(weights) -> tuple[tuple[float, int], ...]:
     return tuple(entries)
 
 
-class _Arrays:
-    """Column view of a rect list plus vectorized set distances."""
-
-    def __init__(self, rects):
-        self.x0 = np.array([r.x0 for r in rects])
-        self.y0 = np.array([r.y0 for r in rects])
-        self.x1 = np.array([r.x1 for r in rects])
-        self.y1 = np.array([r.y1 for r in rects])
-        self.n = len(rects)
-
-    def pair_dist(self, i, j) -> np.ndarray:
-        dx = np.maximum(0.0, np.maximum(self.x0[i] - self.x1[j],
-                                        self.x0[j] - self.x1[i]))
-        dy = np.maximum(0.0, np.maximum(self.y0[i] - self.y1[j],
-                                        self.y0[j] - self.y1[i]))
-        return np.hypot(dx, dy)
+def _pair_dist(r: Rects, i, j) -> np.ndarray:
+    """Set distances between rects i[k] and j[k]."""
+    dx = np.maximum(0.0, np.maximum(r.x0[i] - r.x1[j], r.x0[j] - r.x1[i]))
+    dy = np.maximum(0.0, np.maximum(r.y0[i] - r.y1[j], r.y0[j] - r.y1[i]))
+    return np.hypot(dx, dy)
 
 
 class _UnionFind:
@@ -155,10 +144,10 @@ class _Tree:
     being the node bounding boxes.
     """
 
-    def __init__(self, arrs: _Arrays):
-        n = arrs.n
+    def __init__(self, cols: Rects):
+        n = len(cols)
         depth = (n - 1).bit_length()
-        cx, cy = arrs.x0 + arrs.x1, arrs.y0 + arrs.y1
+        cx, cy = cols.x0 + cols.x1, cols.y0 + cols.y1
         perm = np.arange(n)
         for level in range(depth):
             lo, hi = self._ranges(n, level)
@@ -172,10 +161,10 @@ class _Tree:
         for level in range(depth + 1):
             lo, hi = self._ranges(n, level)
             self.levels.append((lo, hi,
-                                np.minimum.reduceat(arrs.x0[perm], lo),
-                                np.minimum.reduceat(arrs.y0[perm], lo),
-                                np.maximum.reduceat(arrs.x1[perm], lo),
-                                np.maximum.reduceat(arrs.y1[perm], lo)))
+                                np.minimum.reduceat(cols.x0[perm], lo),
+                                np.minimum.reduceat(cols.y0[perm], lo),
+                                np.maximum.reduceat(cols.x1[perm], lo),
+                                np.maximum.reduceat(cols.y1[perm], lo)))
 
     @staticmethod
     def _ranges(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +173,7 @@ class _Tree:
         return bounds[:-1], bounds[1:]
 
 
-def _boruvka(arrs: _Arrays, uf: _UnionFind, cap: float) -> list[float]:
+def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> list[float]:
     """Borůvka rounds on the complete graph of rect set distances below `cap`.
 
     Each round finds, for every component, one rect pair of least distance to
@@ -204,8 +193,8 @@ def _boruvka(arrs: _Arrays, uf: _UnionFind, cap: float) -> list[float]:
     neighbouring rects in tree order and tighten with one rect pair of every
     surviving node pair; at the last level these pairs are exact.
     """
-    tree = _Tree(arrs)
-    perm, n = tree.perm, arrs.n
+    tree = _Tree(cols)
+    perm, n = tree.perm, len(cols)
     weights: list[float] = []
     while uf.components > 1:
         uf.compress()
@@ -217,7 +206,7 @@ def _boruvka(arrs: _Arrays, uf: _UnionFind, cap: float) -> list[float]:
             cross = comp[i] != comp[j]
             i, j = i[cross], j[cross]
             c = np.concatenate([comp[i], comp[j]])
-            d = np.tile(arrs.pair_dist(i, j), 2)
+            d = np.tile(_pair_dist(cols, i, j), 2)
             e = np.tile(i * n + j, 2)
             np.minimum.at(best, c, d)
             hit = d == best[c]
@@ -260,9 +249,9 @@ def component_labels(rects, delta: float) -> np.ndarray:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not rects:
         raise EmptyInput("no rects")
-    arrs = _Arrays(rects)
-    uf = _UnionFind(arrs.n)
-    _boruvka(arrs, uf, cap=math.nextafter(delta, math.inf))
+    cols = Rects.of(rects)
+    uf = _UnionFind(len(cols))
+    _boruvka(cols, uf, cap=math.nextafter(delta, math.inf))
     uf.compress()
     return uf.parent.copy()
 
@@ -280,8 +269,8 @@ def gap_sequence_mst(rects) -> GapSequence:
     """
     if not rects:
         raise EmptyInput("no rects")
-    arrs = _Arrays(rects)
-    weights = _boruvka(arrs, _UnionFind(arrs.n), math.inf)
+    cols = Rects.of(rects)
+    weights = _boruvka(cols, _UnionFind(len(cols)), math.inf)
     return GapSequence(entries=_aggregate(weights))
 
 
@@ -297,13 +286,13 @@ def gap_sequence_bruteforce(rects, cap: int = ORACLE_CAP) -> GapSequence:
         raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {cap}")
     if len(rects) == 1:
         return GapSequence(entries=())
-    arrs = _Arrays(rects)
-    iu, ju = np.triu_indices(arrs.n, k=1)
-    d = arrs.pair_dist(iu, ju)
+    cols = Rects.of(rects)
+    iu, ju = np.triu_indices(len(cols), k=1)
+    d = _pair_dist(cols, iu, ju)
     order = np.lexsort((ju, iu, d))
     iu, ju, d = iu[order], ju[order], d[order]
 
-    uf = _UnionFind(arrs.n)
+    uf = _UnionFind(len(cols))
     jumps: list[tuple[float, int]] = []
     k = 0
     while k < len(d):

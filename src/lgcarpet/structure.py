@@ -21,7 +21,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .carpet import CarpetSpec, _max_cylinders
+import numpy as np
+
+from .carpet import CarpetSpec, _max_cylinders, _walk
 from .errors import (
     BudgetExceeded,
     CodingsNotDiverging,
@@ -32,6 +34,7 @@ from .errors import (
     NotInProjection,
     VerificationFailed,
 )
+from .gaps import _UnionFind
 
 Coding = tuple[int, ...]
 
@@ -402,27 +405,25 @@ def find_gap_interval(spec: CarpetSpec, coding: Coding,
     return (j_lo, j_hi)
 
 
-def row_stopping_words(spec: CarpetSpec, delta: float,
-                       max_words: int | None = None) -> list[Coding]:
-    """Row words over nonempty rows whose height product first drops <= delta."""
-    if delta <= 0.0:
+def _row_words(spec: CarpetSpec, delta: float, max_words: int | None):
+    """Stopping row-words in lexicographic order, with s and t of y -> s*y + t."""
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     rows = spec.nonempty_rows
     if not rows:
         raise EmptyAttractor("every row is empty")
-    cap = _max_cylinders(max_words)
-    out: list[Coding] = []
-    stack: list[tuple[Coding, float]] = [((), 1.0)]
-    while stack:
-        word, prod = stack.pop()
-        if word and prod <= delta:
-            if len(out) >= cap:
-                raise BudgetExceeded(f"row stopping set at delta={delta} exceeds cap {cap}")
-            out.append(word)
-            continue
-        for i in reversed(rows):
-            stack.append((word + (i,), prod * spec.rows[i - 1].b))
-    return out
+    scale = np.array([[spec.rows[i - 1].b for i in rows]])
+    offset = np.array([[spec.d[i - 1] for i in rows]])
+    words, s, t = _walk(scale, offset, _max_cylinders(max_words),
+                        f"row stopping set at delta={delta}", delta=delta)
+    coded = [tuple(rows[g] for g in word if g >= 0) for word in words.tolist()]
+    return coded, s[0], t[0]
+
+
+def row_stopping_words(spec: CarpetSpec, delta: float,
+                       max_words: int | None = None) -> list[Coding]:
+    """Row words over nonempty rows whose height product first drops <= delta."""
+    return _row_words(spec, delta, max_words)[0]
 
 
 @dataclass(frozen=True)
@@ -468,7 +469,7 @@ def idelta_classes(spec: CarpetSpec, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     proj = project_F(spec)
-    words = sorted(row_stopping_words(spec, delta, max_words))
+    words, scales, offsets = _row_words(spec, delta, max_words)
     b_max = max(proj.ratios)
     depth = max(1, math.ceil(math.log(delta / 100.0) / math.log(b_max)))
 
@@ -480,25 +481,13 @@ def idelta_classes(spec: CarpetSpec, delta: float,
         return approx_cache[rel]
 
     blocks = []
-    hulls = []
-    for word in words:
-        s, t = 1.0, 0.0
-        for i in word:
-            t += s * spec.d[i - 1]
-            s *= spec.rows[i - 1].b
+    for word, s, t in zip(words, scales.tolist(), offsets.tolist()):
         base = rel_approx(max(0, depth - len(word)))
         blocks.append([(t + s * lo, t + s * hi) for lo, hi in base])
-        hulls.append((t, t + s))
+    hulls = list(zip(offsets.tolist(), (offsets + scales).tolist()))
 
     threshold = delta * (1.0 + DIST_TIE_REL)
-    parent = list(range(len(words)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(len(words))
     order = sorted(range(len(words)), key=lambda k: hulls[k][0])
     for ai in range(len(order)):
         a = order[ai]
@@ -507,13 +496,12 @@ def idelta_classes(spec: CarpetSpec, delta: float,
             if hulls[b][0] - hulls[a][1] > threshold:
                 break  # later hulls start even further right
             if _interval_union_distance(blocks[a], blocks[b]) <= threshold:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+                uf.union(a, b)
 
+    uf.compress()
     groups: dict[int, list[Coding]] = {}
-    for k, word in enumerate(words):
-        groups.setdefault(find(k), []).append(word)
+    for root, word in zip(uf.parent.tolist(), words):
+        groups.setdefault(root, []).append(word)
     classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
     return DeltaClasses(delta=delta, words=tuple(words), classes=classes)
 

@@ -114,6 +114,11 @@ class TestRenderSvg:
         svg = lg.render_svg(mcm, depth=1)
         assert 'y="0.0"' in svg
 
+    def test_coordinates_are_plain_floats(self, cd):
+        for svg in (lg.render_svg(cd, depth=3), lg.render_svg(cd, delta=1 / 81)):
+            assert "float64" not in svg
+            assert '<rect x="0.0" ' in svg
+
     def test_exactly_one_selector(self, mcm):
         with pytest.raises(ValueError):
             lg.render_svg(mcm)

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
@@ -17,6 +17,39 @@ def rows_dict(rows):
         {"b": b, "cells": [{"a": a, "c": c} for a, c in cells]}
         for b, cells in rows
     ]}
+
+
+def reference_cylinders(spec, stops):
+    """Depth-first reference: every word's rect from its own word_map call."""
+    out = []
+
+    def visit(word):
+        sx, tx, sy, ty = lg.word_map(spec, word)
+        if stops(word, sy):
+            out.append(lg.Cylinder(word, lg.Rect(tx, ty, sx, sy), sx, sy))
+            return
+        for digit in spec.digits:
+            visit(word + (digit,))
+
+    visit(())
+    return out
+
+
+@st.composite
+def uneven_specs(draw):
+    """Rows of unequal heights, so stopping words have several lengths."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    rows = []
+    for w in weights:
+        b = w / sum(weights)
+        n = draw(st.integers(0, 3))
+        rows.append(lg.RowSpec(b, tuple(lg.Cell(b / 4, k / 3) for k in range(n))))
+    assume(any(row.cells for row in rows))
+    return lg.CarpetSpec(tuple(rows))
+
+
+walk_specs = st.one_of(st.integers(0, 2**32 - 1).map(synth.random_grid_spec),
+                       uneven_specs())
 
 
 def violations_of(rows):
@@ -223,6 +256,46 @@ class TestEnumeration:
             lg.enumerate_depth(mcm, 6, max_cylinders=100)
         with pytest.raises(BudgetExceeded):
             lg.enumerate_stopping(mcm, 1e-6, max_cylinders=100)
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_specs, st.floats(0.08, 1.5))
+    def test_stopping_matches_reference(self, spec, delta):
+        b_min = min(row.b for row in spec.rows)
+        assume(len(spec.digits) ** math.ceil(math.log(delta) / math.log(b_min)) <= 4000)
+        cyls = lg.enumerate_stopping(spec, delta)
+        want = reference_cylinders(spec, lambda word, h: bool(word) and h <= delta)
+        assert list(cyls) == want
+        assert all(type(v) is float for c in cyls for v in (c.rect.x0, c.a_prod))
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_specs, st.integers(0, 3))
+    def test_depth_matches_reference(self, spec, depth):
+        assume(len(spec.digits) ** depth <= 4000)
+        want = reference_cylinders(spec, lambda word, h: len(word) == depth)
+        assert list(lg.enumerate_depth(spec, depth)) == want
+
+    def test_budget_is_exact(self, mcm, mixed):
+        for spec, delta in ((mcm, 0.2), (mixed, 0.01)):
+            count = len(lg.enumerate_stopping(spec, delta))
+            assert len(lg.enumerate_stopping(spec, delta, max_cylinders=count)) == count
+            with pytest.raises(BudgetExceeded):
+                lg.enumerate_stopping(spec, delta, max_cylinders=count - 1)
+        assert len(lg.enumerate_depth(mcm, 4, max_cylinders=81)) == 81
+        with pytest.raises(BudgetExceeded):
+            lg.enumerate_depth(mcm, 4, max_cylinders=80)
+
+    def test_budget_refused_at_overflowing_level(self, mcm):
+        # 3**5 live words at length 5 already exceed the cap; the set itself
+        # would have 3**997 words
+        with pytest.raises(BudgetExceeded, match="by length 5$"):
+            lg.enumerate_stopping(mcm, 1e-300, max_cylinders=100)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+    def test_bad_delta(self, mcm, delta):
+        with pytest.raises(ValueError):
+            lg.enumerate_stopping(mcm, delta)
+        with pytest.raises(ValueError):
+            lg.row_stopping_words(mcm, delta)
 
     def test_budget_env(self, mcm, monkeypatch):
         monkeypatch.setenv("LG_MAX_CYLINDERS", "10")

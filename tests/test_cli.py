@@ -1,6 +1,9 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,6 +240,15 @@ class TestBudgetAndUsage:
         assert code == 1
         assert "BudgetExceeded" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_cylinder_cap_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", value)
+        code, out, err = run(capsys, ["report", CD])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InvalidSetting: LG_MAX_CYLINDERS")
+        assert err.count("\n") == 1
+
     def test_no_command(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 2
@@ -267,3 +279,13 @@ class TestBudgetAndUsage:
         assert code == 0
         assert stdout == ""
         assert json.loads(out.read_text())["s"] > 1.0
+
+
+def test_module_entry_point():
+    src = str(Path(lg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "lgcarpet.cli", "validate", CD],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["valid"] is True

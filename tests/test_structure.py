@@ -300,6 +300,13 @@ class TestRowStoppingWords:
         with pytest.raises(BudgetExceeded):
             lg.row_stopping_words(cd, 1e-8, max_words=50)
 
+    @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
+    @pytest.mark.parametrize("delta", [1.0, 0.3, 0.05, 0.004])
+    def test_row_parts_of_stopping_words(self, request, name, delta):
+        spec = request.getfixturevalue(name)
+        rows = {tuple(i for i, _ in c.word) for c in lg.enumerate_stopping(spec, delta)}
+        assert lg.row_stopping_words(spec, delta) == sorted(rows)
+
 
 class TestIdeltaClasses:
     def test_cd_pins(self, cd):
