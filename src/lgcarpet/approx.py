@@ -86,16 +86,19 @@ def count_grid_cells(rects, delta: float) -> int:
     u1 = np.maximum(u1, u0)
     v1 = np.maximum(v1, v0)
 
-    spans = (u1 - u0 + 1) * (v1 - v0 + 1)
-    if int(spans.sum()) > MAX_GRID_CELLS:
-        raise BudgetExceeded(
-            f"grid count at delta={delta} touches {int(spans.sum())} cells")
-    cells: set[tuple[int, int]] = set()
-    for a0, a1, b0, b1 in zip(u0, u1, v0, v1):
-        for u in range(a0, a1 + 1):
-            for v in range(b0, b1 + 1):
-                cells.add((u, v))
-    return len(cells)
+    rows = v1 - v0 + 1
+    spans = (u1 - u0 + 1) * rows
+    total = int(spans.sum())
+    if total > MAX_GRID_CELLS:
+        raise BudgetExceeded(f"grid count at delta={delta} touches {total} cells")
+    # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows); count distinct
+    # (u, v) pairs by sorting, since a linear key u * V + v overflows int64.
+    rect = np.repeat(np.arange(len(spans)), spans)
+    k = np.arange(total) - np.repeat(np.cumsum(spans) - spans, spans)
+    u, v = u0[rect] + k // rows[rect], v0[rect] + k % rows[rect]
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    return int(total > 0) + int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1])))
 
 
 def box_count(spec: CarpetSpec, delta: float,

@@ -356,10 +356,11 @@ def _walk(scale: np.ndarray, offset: np.ndarray, cap: int, what: str,
     lexicographic order; t + s * offset[g] and s * scale[g] are word_map's
     float operations in its order.  Every live word has a stopping descendant,
     so the cap refuses exactly the sets above it, before they are built.
-    Returns the words as digit indices padded with -1 and their s, t columns.
+    Returns the words as digit indices padded with -1, in the smallest signed
+    dtype that holds them, and their s, t columns.
     """
     axes, g = scale.shape
-    words = np.zeros((1, 0), dtype=int)
+    words = np.zeros((1, 0), dtype=np.min_scalar_type(-g))
     s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
     for level in itertools.count():
         live &= (level != depth) if depth is not None else (level == 0) | (s[-1] > delta)
@@ -371,7 +372,7 @@ def _walk(scale: np.ndarray, offset: np.ndarray, cap: int, what: str,
         parent = np.repeat(np.arange(len(live)), grow)
         digit = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
         live = live[parent]
-        words = np.column_stack([words[parent], np.where(live, digit, -1)])
+        words = np.column_stack([words[parent], np.where(live, digit, -1).astype(words.dtype)])
         t = np.where(live, t[:, parent] + s[:, parent] * offset[:, digit], t[:, parent])
         s = np.where(live, s[:, parent] * scale[:, digit], s[:, parent])
 

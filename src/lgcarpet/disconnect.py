@@ -57,13 +57,12 @@ class TDCertificate:
 
 
 def _touching_diameter(rects: Rects, labels: np.ndarray) -> float:
-    best = 0.0
-    for lab in np.unique(labels):
-        sel = labels == lab
-        diag = math.hypot(rects.x1[sel].max() - rects.x0[sel].min(),
-                          rects.y1[sel].max() - rects.y0[sel].min())
-        best = max(best, diag)
-    return best
+    """Largest bounding-box diagonal over the components `labels` gives."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.unique(labels[order], return_index=True)[1]
+    width = np.maximum.reduceat(rects.x1[order], starts) - np.minimum.reduceat(rects.x0[order], starts)
+    height = np.maximum.reduceat(rects.y1[order], starts) - np.minimum.reduceat(rects.y0[order], starts)
+    return max(map(math.hypot, width.tolist(), height.tolist()), default=0.0)
 
 
 def certify_totally_disconnected(spec: CarpetSpec,

@@ -4,8 +4,11 @@ The nonempty rows induce a self-similar IFS on the y axis whose attractor is
 the projection F of the carpet.  Every y in F has at most two row itineraries
 (codings), and the part of E above y is a fiber: a nested intersection of
 finite interval unions, one refinement per coding digit.  This module works
-with those interval unions at explicit finite depth and provides the
-quantities that drive the uniform-disconnectedness analysis:
+with those interval unions at explicit finite depth.  They are `IntervalSet`s
+(float64 lo/hi columns) built from one merge, one IFS step (the merged union
+of offset + scale * I over a list of maps, applied right to left, so the
+projection and a fiber are the same loop) and one point-distance query, and
+they give the quantities that drive the uniform-disconnectedness analysis:
 
   * Hausdorff distances between fiber approximations and the prefix-product
     bound on them (check_hd_bound),
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,63 +51,90 @@ DIST_TIE_REL = 1e-9
 RESOLUTION_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
 class IntervalSet:
-    """Disjoint closed intervals, sorted by left endpoint."""
+    """Disjoint closed intervals, sorted by left endpoint, as float64 columns
+    `lo` and `hi`; `intervals` is the same as a tuple of Python-float pairs."""
 
-    intervals: tuple[tuple[float, float], ...]
+    def __init__(self, intervals=()):
+        self.lo, self.hi = np.array(intervals, dtype=float).reshape(-1, 2).T.copy()
+
+    @classmethod
+    def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
+        out = cls.__new__(cls)
+        out.lo, out.hi = lo, hi
+        return out
 
     @classmethod
     def from_pairs(cls, pairs, tol: float = 0.0) -> "IntervalSet":
         """Sort and merge intervals whose gap is <= tol (0 merges touching)."""
-        items = sorted((float(lo), float(hi)) for lo, hi in pairs)
-        merged: list[list[float]] = []
-        for lo, hi in items:
-            if merged and lo - merged[-1][1] <= tol:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
+        cols = cls(list(pairs))
+        return _merge(cols.lo, cols.hi, tol)
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet({self.intervals!r})"
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
 
     @property
     def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
+        return sum((self.hi - self.lo).tolist())
 
     @property
     def bounds(self) -> tuple[float, float]:
-        if not self.intervals:
+        if not len(self):
             raise EmptyInput("empty interval set has no bounds")
-        return self.intervals[0][0], self.intervals[-1][1]
+        return float(self.lo[0]), float(self.hi[-1])
 
     def distance_to_point(self, x: float) -> float:
-        if not self.intervals:
+        if not len(self):
             raise EmptyInput("empty interval set")
-        los = [lo for lo, _ in self.intervals]
-        return _point_distance(x, self.intervals, los)
+        return float(_distances(self, x))
 
     def intersects_open(self, lo: float, hi: float) -> bool:
         """True when some closed interval meets the open interval (lo, hi)."""
-        for a, b in self.intervals:
-            if a >= hi:
-                break
-            if b > lo:
-                return True
-        return False
+        return bool((self.hi[:np.searchsorted(self.lo, hi)] > lo).any())
 
 
-def _point_distance(x: float, intervals, los) -> float:
-    idx = bisect_right(los, x) - 1
-    if idx >= 0 and x <= intervals[idx][1]:
-        return 0.0
-    best = math.inf
-    if idx >= 0:
-        best = x - intervals[idx][1]
-    if idx + 1 < len(intervals):
-        best = min(best, intervals[idx + 1][0] - x)
-    return best
+def _merge(lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> IntervalSet:
+    """Union of the intervals [lo, hi] with gaps <= tol closed: sort by lo and
+    start a new interval where lo passes the running max of hi by more than tol."""
+    order = np.argsort(lo, kind="stable")
+    lo, top = lo[order], np.maximum.accumulate(hi[order])
+    start = np.ones(len(lo), dtype=bool)
+    start[1:] = lo[1:] - top[:-1] > tol
+    last = np.ones(len(lo), dtype=bool)
+    last[:-1] = start[1:]
+    return IntervalSet._of(lo[start], top[last])
+
+
+def _ifs_cover(steps, cap: int, what: str) -> IntervalSet:
+    """[0, 1] through one IFS step per (scale, offset) map list of `steps`.
+
+    A step is the merged union of offset[g] + scale[g] * I over the maps g and
+    the intervals I of the cover so far.  The one budget rule: a step of more
+    than `cap` image intervals is refused before it is built.
+    """
+    cover = IntervalSet(((0.0, 1.0),))
+    for scale, offset in steps:
+        if len(cover) * len(scale) > cap:
+            raise BudgetExceeded(
+                f"{what}: {len(cover)} intervals x {len(scale)} maps exceeds cap {cap}")
+        scale, offset = scale[:, None], offset[:, None]
+        cover = _merge((offset + scale * cover.lo).ravel(), (offset + scale * cover.hi).ravel())
+    return cover
+
+
+def _distances(cover: IntervalSet, x):
+    """Distance from each point x to the nonempty union `cover`."""
+    after = np.searchsorted(cover.lo, x, side="right")  # first interval right of x
+    below = np.where(after > 0, x - cover.hi[after - 1], np.inf)
+    above = np.where(after < len(cover), cover.lo[np.minimum(after, len(cover) - 1)] - x, np.inf)
+    return np.maximum(np.minimum(below, above), 0.0)
 
 
 def _directed_hausdorff(a: IntervalSet, b: IntervalSet) -> float:
@@ -114,18 +144,13 @@ def _directed_hausdorff(a: IntervalSet, b: IntervalSet) -> float:
     midpoints of B's gaps, so the supremum over A is attained at an endpoint
     of A or at a gap midpoint of B that lies inside A.
     """
-    b_los = [lo for lo, _ in b.intervals]
-    a_los = [lo for lo, _ in a.intervals]
-    candidates = [p for lo, hi in a.intervals for p in (lo, hi)]
-    for (_, hi_prev), (lo_next, _) in zip(b.intervals, b.intervals[1:]):
-        mid = 0.5 * (hi_prev + lo_next)
-        if _point_distance(mid, a.intervals, a_los) == 0.0:
-            candidates.append(mid)
-    return max(_point_distance(p, b.intervals, b_los) for p in candidates)
+    mids = 0.5 * (b.hi[:-1] + b.lo[1:])
+    points = np.concatenate([a.lo, a.hi, mids[_distances(a, mids) == 0.0]])
+    return float(_distances(b, points).max())
 
 
 def hausdorff_distance(a: IntervalSet, b: IntervalSet) -> float:
-    if not a.intervals or not b.intervals:
+    if not len(a) or not len(b):
         raise EmptyInput("hausdorff_distance needs two nonempty interval sets")
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
@@ -152,19 +177,11 @@ def project_F(spec: CarpetSpec) -> ProjectionIFS:
 
 def projection_approx(spec: CarpetSpec, depth: int,
                       max_intervals: int | None = None) -> IntervalSet:
-    """Depth-k interval cover of the projection (row words of length k)."""
+    """Depth-k interval cover of the projection: the union of the images of
+    [0, 1] under all row words of length k, one IFS step per digit."""
     proj = project_F(spec)
-    cap = _max_cylinders(max_intervals)
-    level = [(0.0, 1.0)]
-    for _ in range(depth):
-        nxt = [(lo + s * off, lo + s * off + s * ratio)
-               for lo, hi in level
-               for s in ((hi - lo),)
-               for ratio, off in zip(proj.ratios, proj.offsets)]
-        if len(nxt) > cap:
-            raise BudgetExceeded(f"projection approximation exceeds cap {cap}")
-        level = list(IntervalSet.from_pairs(nxt).intervals)
-    return IntervalSet(tuple(level))
+    maps = np.array(proj.ratios), np.array(proj.offsets)
+    return _ifs_cover([maps] * depth, _max_cylinders(max_intervals), f"projection at depth {depth}")
 
 
 def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
@@ -220,24 +237,15 @@ def fiber_approx(spec: CarpetSpec, coding: Coding,
     """Union over all column choices of the coding's x-cylinders, merged.
 
     This is the depth-len(coding) interval cover of the fiber over any y
-    whose itinerary starts with the coding.
+    whose itinerary starts with the coding: one IFS step per digit with that
+    row's cells, composed right to left.
     """
     coding = tuple(coding)
     _check_coding(spec, coding)
-    cap = _max_cylinders(max_intervals)
-    count = 1
-    for i in coding:
-        count *= len(spec.rows[i - 1].cells)
-        if count > cap:
-            raise BudgetExceeded(f"fiber at depth {len(coding)} exceeds cap {cap}")
-    # Compose right to left so each level is one affine pass over the last.
-    intervals = [(0.0, 1.0)]
-    for i in reversed(coding):
-        cells = spec.rows[i - 1].cells
-        intervals = [(c.c + c.a * lo, c.c + c.a * hi)
-                     for c in cells for lo, hi in intervals]
-        intervals = list(IntervalSet.from_pairs(intervals).intervals)
-    return IntervalSet(tuple(intervals))
+    maps = {i: (np.array([c.a for c in spec.rows[i - 1].cells]),
+                np.array([c.c for c in spec.rows[i - 1].cells])) for i in set(coding)}
+    return _ifs_cover([maps[i] for i in reversed(coding)], _max_cylinders(max_intervals),
+                      f"fiber at depth {len(coding)}")
 
 
 @dataclass(frozen=True)
@@ -298,13 +306,7 @@ def row_gap_intervals(spec: CarpetSpec, i: int) -> list[tuple[float, float]]:
 def largest_row_gap(spec: CarpetSpec, i: int) -> tuple[float, float] | None:
     """Longest complementary gap of row i (leftmost on ties), None if covered."""
     gaps = row_gap_intervals(spec, i)
-    if not gaps:
-        return None
-    best = max(hi - lo for lo, hi in gaps)
-    for lo, hi in gaps:
-        if hi - lo == best:
-            return (lo, hi)
-    return None
+    return max(gaps, key=lambda gap: gap[1] - gap[0]) if gaps else None
 
 
 def gap_fraction(spec: CarpetSpec) -> float:
@@ -358,7 +360,7 @@ def find_gap_interval(spec: CarpetSpec, coding: Coding,
             depth = k + 1
             break
     fiber = fiber_approx(spec, coding[:depth])
-    resolution = max(hi - lo for lo, hi in fiber.intervals)
+    resolution = float((fiber.hi - fiber.lo).max())
 
     if not fiber.intersects_open(tlo, thi):
         return (tlo, thi)
@@ -473,17 +475,11 @@ def idelta_classes(spec: CarpetSpec, delta: float,
     b_max = max(proj.ratios)
     depth = max(1, math.ceil(math.log(delta / 100.0) / math.log(b_max)))
 
-    approx_cache: dict[int, tuple[tuple[float, float], ...]] = {}
-
-    def rel_approx(rel: int) -> tuple[tuple[float, float], ...]:
-        if rel not in approx_cache:
-            approx_cache[rel] = projection_approx(spec, rel).intervals
-        return approx_cache[rel]
-
-    blocks = []
-    for word, s, t in zip(words, scales.tolist(), offsets.tolist()):
-        base = rel_approx(max(0, depth - len(word)))
-        blocks.append([(t + s * lo, t + s * hi) for lo, hi in base])
+    # Word k's block is its image of the projection cover at the depth left below it.
+    bases = {rel: projection_approx(spec, rel).intervals
+             for rel in {max(0, depth - len(word)) for word in words}}
+    blocks = [[(t + s * lo, t + s * hi) for lo, hi in bases[max(0, depth - len(word))]]
+              for word, s, t in zip(words, scales.tolist(), offsets.tolist())]
     hulls = list(zip(offsets.tolist(), (offsets + scales).tolist()))
 
     threshold = delta * (1.0 + DIST_TIE_REL)

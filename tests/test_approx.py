@@ -1,17 +1,40 @@
 """Half-open box counting, approximation sets, covering curves, SVG output."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
 from lgcarpet import Rect
+from lgcarpet.approx import _grid_indices
+from lgcarpet.carpet import Rects
 from lgcarpet.errors import BudgetExceeded
 
 finite = st.floats(min_value=0.0, max_value=0.9, allow_nan=False)
 extent = st.floats(min_value=0.0, max_value=0.1, allow_nan=False)
 rects_strategy = st.lists(
     st.builds(Rect, finite, finite, extent, extent), min_size=1, max_size=12)
+on_lines = st.one_of(finite, st.integers(0, 9).map(lambda k: k / 10))
+wide_rects = st.lists(st.builds(Rect, on_lines, on_lines, st.sampled_from([0.0, 0.1, 0.2]) | extent,
+                                st.sampled_from([0.0, 0.1, 0.3]) | extent), max_size=12)
+
+
+def set_count(rects, delta):
+    """The grid count one cell at a time into a Python set, as an oracle."""
+    cols = Rects.of(rects)
+    u0, _ = _grid_indices(cols.x0, delta)
+    v0, _ = _grid_indices(cols.y0, delta)
+    u1, on_u = _grid_indices(cols.x1, delta)
+    v1, on_v = _grid_indices(cols.y1, delta)
+    u1 = np.maximum(np.where(on_u & (cols.x1 > cols.x0), u1 - 1, u1), u0)
+    v1 = np.maximum(np.where(on_v & (cols.y1 > cols.y0), v1 - 1, v1), v0)
+    cells = set()
+    for a0, a1, b0, b1 in zip(u0, u1, v0, v1):
+        for u in range(a0, a1 + 1):
+            for v in range(b0, b1 + 1):
+                cells.add((u, v))
+    return len(cells)
 
 
 class TestCountGridCells:
@@ -51,6 +74,16 @@ class TestCountGridCells:
         joint = lg.count_grid_cells(r1 + r2, delta)
         c1, c2 = lg.count_grid_cells(r1, delta), lg.count_grid_cells(r2, delta)
         assert max(c1, c2) <= joint <= c1 + c2
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_rects, st.sampled_from([0.1, 1 / 3, 0.05, 0.02, 1e-3]))
+    def test_matches_set_oracle(self, rects, delta):
+        assert lg.count_grid_cells(rects, delta) == set_count(rects, delta)
+
+    def test_fine_grid(self):
+        # cell indices near 2**40 on both axes: a linear u * V + v key would overflow
+        points = [Rect(x, y, 0.0, 0.0) for x, y in ((0.25, 0.5), (0.75, 0.125), (0.5, 0.25))]
+        assert lg.count_grid_cells(points * 2, 2.0 ** -40) == 3
 
 
 class TestBoxCount:

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -296,6 +297,12 @@ class TestEnumeration:
             lg.enumerate_stopping(mcm, delta)
         with pytest.raises(ValueError):
             lg.row_stopping_words(mcm, delta)
+
+    @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
+    def test_words_are_int8(self, request, name):
+        spec = request.getfixturevalue(name)
+        assert lg.enumerate_depth(spec, 3).words.dtype == np.int8
+        assert lg.enumerate_stopping(spec, 0.01).words.dtype == np.int8
 
     def test_budget_env(self, mcm, monkeypatch):
         monkeypatch.setenv("LG_MAX_CYLINDERS", "10")

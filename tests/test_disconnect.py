@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgcarpet as lg
 from lgcarpet import synth
-from lgcarpet.carpet import CarpetSpec, RowSpec
+from lgcarpet.carpet import CarpetSpec, Rect, Rects, RowSpec
+from lgcarpet.disconnect import _touching_diameter
 from lgcarpet.errors import ChainUnavailable, EmptyAttractor
 
 
@@ -55,6 +58,18 @@ class TestSeparationCertificate:
     def test_bad_max_depth(self, cd):
         with pytest.raises(ValueError):
             lg.certify_totally_disconnected(cd, max_depth=0)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.builds(Rect, *[st.floats(0.0, 1.0)] * 4), st.integers(0, 5)),
+                    min_size=1, max_size=40))
+    def test_touching_diameter_per_label(self, labelled):
+        best = 0.0
+        for lab in {lab for _, lab in labelled}:
+            group = [r for r, k in labelled if k == lab]
+            best = max(best, math.hypot(max(r.x1 for r in group) - min(r.x0 for r in group),
+                                        max(r.y1 for r in group) - min(r.y0 for r in group)))
+        rects = Rects.of([r for r, _ in labelled])
+        assert _touching_diameter(rects, np.array([k for _, k in labelled])) == best
 
     def test_empty_attractor(self):
         with pytest.raises(EmptyAttractor):

@@ -4,11 +4,12 @@ The interval-set arithmetic gets hypothesis coverage; the carpet-level
 operations are pinned against hand-computed values on the canonical specs.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
@@ -24,6 +25,16 @@ from lgcarpet.errors import (
 
 pair = st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 0.2, allow_nan=False))
 pairs_strategy = st.lists(pair.map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=10)
+grid_specs = st.integers(0, 2 ** 32 - 1).map(synth.random_grid_spec)
+
+
+def assert_same_cover(got, pairs):
+    """`got` is the union of `pairs` up to rounding: the same intervals once
+    gaps below 1e-12 are closed, with endpoints within 1e-12."""
+    want = IntervalSet.from_pairs(pairs, tol=1e-12).intervals
+    got = IntervalSet.from_pairs(got.intervals, tol=1e-12).intervals
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestIntervalSet:
@@ -103,6 +114,30 @@ class TestProjection:
         # halves touch at 1/2 and merge at every depth
         assert lg.projection_approx(mcm, 5).intervals == ((0.0, 1.0),)
 
+    def test_merged_rows_refined_per_word(self):
+        # rows 1 and 2 touch and merge into [0, 2/3] at depth 1; depth 2 is
+        # the union of the four row-word images, not a refinement of [0, 2/3]
+        third = 1.0 / 3.0
+        spec = lg.CarpetSpec((lg.RowSpec(third, (lg.Cell(0.25, 0.0),)),
+                              lg.RowSpec(third, (lg.Cell(0.25, 0.0),)),
+                              lg.RowSpec(third, ())))
+        assert lg.projection_approx(spec, 2).intervals == ((0.0, 2 / 9), (1 / 3, 5 / 9))
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_specs, st.integers(1, 4))
+    def test_union_of_row_words(self, spec, depth):
+        pairs = []
+        for rows in itertools.product(spec.nonempty_rows, repeat=depth):
+            _, _, sy, ty = lg.word_map(spec, [(i, 1) for i in rows])
+            pairs.append((ty, ty + sy))
+        assert_same_cover(lg.projection_approx(spec, depth), pairs)
+
+    def test_budget(self, cd):
+        # 16 intervals at depth 4, each with two images at depth 5
+        assert len(lg.projection_approx(cd, 5, max_intervals=32)) == 32
+        with pytest.raises(BudgetExceeded, match="16 intervals x 2 maps exceeds cap 31$"):
+            lg.projection_approx(cd, 5, max_intervals=31)
+
 
 class TestYCodings:
     def test_boundary_point_two_codings(self, mcm):
@@ -166,6 +201,33 @@ class TestFibers:
     def test_budget(self, cd):
         with pytest.raises(BudgetExceeded):
             lg.fiber_approx(cd, (1,) * 10, max_intervals=100)
+
+    def test_budget_refuses_first_step_over_cap(self, cd):
+        # CD rows have two separated cells: step k builds 2**k intervals
+        assert len(lg.fiber_approx(cd, (1, 3) * 3, max_intervals=64)) == 64
+        with pytest.raises(BudgetExceeded, match="32 intervals x 2 maps exceeds cap 63$"):
+            lg.fiber_approx(cd, (1, 3) * 5, max_intervals=63)
+
+    def test_budget_counts_merged_intervals(self):
+        # row 1's cells tile [0, 1]: 3**20 column choices, but every step
+        # merges its three images back into [0, 1]
+        third = 1.0 / 3.0
+        spec = lg.CarpetSpec((
+            lg.RowSpec(0.5, (lg.Cell(third, 0.0), lg.Cell(third, third),
+                             lg.Cell(third, 2 * third))),
+            lg.RowSpec(0.5, (lg.Cell(0.25, 0.25),)),
+        ))
+        assert lg.fiber_approx(spec, (1,) * 20, max_intervals=3).intervals == ((0.0, 1.0),)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_specs, st.data())
+    def test_union_of_x_cylinders(self, spec, data):
+        coding = data.draw(st.lists(st.sampled_from(spec.nonempty_rows), min_size=1, max_size=4))
+        pairs = []
+        for cols in itertools.product(*(range(1, len(spec.row(i).cells) + 1) for i in coding)):
+            sx, tx, _, _ = lg.word_map(spec, zip(coding, cols))
+            pairs.append((tx, tx + sx))
+        assert_same_cover(lg.fiber_approx(spec, coding), pairs)
 
 
 class TestHdBound:
