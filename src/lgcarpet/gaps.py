@@ -10,10 +10,13 @@ Two independent routes compute it.  gap_sequence_mst runs Borůvka rounds
 over a median-split tree of the rects, in the style of dual-tree Borůvka
 (March, Ram & Gray, "Fast Euclidean Minimum Spanning Tree", KDD 2010): each
 component finds its nearest rect in another component by walking pairs of
-tree nodes level by level as numpy arrays.  component_labels runs the same
-rounds with every search capped at the threshold.  gap_sequence_bruteforce
-sweeps the full distance matrix threshold by threshold with a union-find.
-Tests pin the routes against each other.
+tree nodes level by level as numpy arrays, and all of a round's picks merge
+in one vectorised union; the picks of a merged group close at most one
+cycle, whose weights are equal, so one least pick per cyclic group is
+dropped.  component_labels runs the same rounds with every search capped at
+the threshold.  gap_sequence_bruteforce sweeps the full distance matrix
+threshold by threshold with a sequential union-find until one component is
+left.  Tests pin the routes against each other.
 """
 
 from __future__ import annotations
@@ -131,6 +134,25 @@ class _UnionFind:
             p = gp
         self.parent = p
 
+    def union_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Join every pair (a[k], b[k]) at once.
+
+        Each step hooks every root onto the least root it is paired with
+        (when that one is smaller) and jumps pointers, until no pair spans two
+        roots.  A root only hooks onto a smaller index, so no cycle forms;
+        starting from singletons, each component is rooted at its least member.
+        """
+        while True:
+            self.compress()
+            ra, rb = self.parent[a], self.parent[b]
+            span = ra != rb
+            if not span.any():
+                break
+            a, b, ra, rb = a[span], b[span], ra[span], rb[span]
+            np.minimum.at(self.parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        self.components = int(np.count_nonzero(
+            self.parent == np.arange(len(self.parent))))
+
 
 class _Tree:
     """Median-split tree over a rect list, stored level by level.
@@ -173,15 +195,18 @@ class _Tree:
         return bounds[:-1], bounds[1:]
 
 
-def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> list[float]:
+def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> np.ndarray:
     """Borůvka rounds on the complete graph of rect set distances below `cap`.
 
     Each round finds, for every component, one rect pair of least distance to
-    another component, then merges these picks through `uf`.  Returns the
-    positive weights of the picks that merged.  Any least pair will do: each
-    pick is the least edge of its component, so going round a cycle of picks
-    the weights never rise and are all equal, and dropping the pick that
-    closes the cycle leaves the weight multiset of the minimum spanning tree,
+    another component, then merges all these picks at once through
+    `uf.union_pairs`.  Returns the positive weights of the picks that merged.
+    Any least pair will do.  A round's picks give every old root at most one
+    out-edge, so a merged group of k roots holds k - 1 picks (a tree) or k
+    (exactly one cycle).  Each pick is the least edge of its component, so
+    going round the cycle the weights never rise: they are all equal, and
+    equal to the group's least weight.  Dropping one least pick of each
+    cyclic group leaves the weight multiset of the minimum spanning tree,
     which is unique.  Rounds stop when one component is left or no component
     has a pick below `cap`.
 
@@ -191,11 +216,14 @@ def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> list[float]:
     pair inside can then beat a bound, so ties are never chased (coincident
     rects would otherwise make the walk quadratic).  Bounds start from
     neighbouring rects in tree order and tighten with one rect pair of every
-    surviving node pair; at the last level these pairs are exact.
+    surviving node pair; at the last level these pairs are exact.  The least
+    and largest component of every node are fixed within a round and are
+    built once, bottom-up from the leaves.
     """
     tree = _Tree(cols)
     perm, n = tree.perm, len(cols)
-    weights: list[float] = []
+    leaf_lo, leaf_hi = tree.levels[-1][:2]
+    weights = [np.empty(0)]
     while uf.components > 1:
         uf.compress()
         comp = uf.parent
@@ -214,19 +242,30 @@ def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> list[float]:
 
         offer(perm[:-1], perm[1:])
         csort = comp[perm]
+        # least and largest component per node; empty leaves get n and -1
+        full = leaf_hi > leaf_lo
+        cmin = np.where(full, csort[leaf_lo], n)
+        cmax = np.where(full, csort[leaf_lo], -1)
+        ranges = [(cmin, cmax)]
+        for _ in tree.levels[1:]:
+            cmin = np.minimum(cmin[0::2], cmin[1::2])
+            cmax = np.maximum(cmax[0::2], cmax[1::2])
+            ranges.append((cmin, cmax))
+        ranges.reverse()
+
         a = b = np.zeros(1, dtype=np.int64)
         for level, (lo, hi, x0, y0, x1, y1) in enumerate(tree.levels):
             if level:  # child pairs with a <= b: three of a self pair, else four
                 a, b = (np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1]),
                         np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1]))
                 a, b = a[a <= b], b[a <= b]
-            cmin = np.minimum.reduceat(csort, lo)
-            single = cmin == np.maximum.reduceat(csort, lo)
+            cmin, cmax = ranges[level]
             bound = np.maximum.reduceat(best[csort], lo)
             dx = np.maximum(0.0, np.maximum(x0[a] - x1[b], x0[b] - x1[a]))
             dy = np.maximum(0.0, np.maximum(y0[a] - y1[b], y0[b] - y1[a]))
+            # both nodes nonempty, not both inside one component, and close
             keep = ((hi[a] > lo[a]) & (hi[b] > lo[b])
-                    & ~(single[a] & single[b] & (cmin[a] == cmin[b]))
+                    & ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
                     & (np.hypot(dx, dy) < np.maximum(bound[a], bound[b])))
             a, b = a[keep], b[keep]
             if len(a) == 0:
@@ -236,15 +275,24 @@ def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> list[float]:
         picks = np.flatnonzero(best < cap)
         if len(picks) == 0:
             break
-        for c in picks:
-            i, j = divmod(int(edge[c]), n)
-            if uf.union(i, j) and best[c] > 0.0:
-                weights.append(float(best[c]))
-    return weights
+        roots = np.flatnonzero(comp == np.arange(n))  # before union_pairs rewrites comp
+        uf.union_pairs(*np.divmod(edge[picks], n))
+        # group = the new root; a group with as many old roots as picks is cyclic
+        group, w = uf.parent[picks], best[picks]
+        cyclic = (np.bincount(uf.parent[roots], minlength=n)
+                  == np.bincount(group, minlength=n))
+        order = np.lexsort((w, group))
+        group, w = group[order], w[order]
+        least = np.r_[True, group[1:] != group[:-1]]
+        weights.append(w[~(least & cyclic[group]) & (w > 0.0)])
+    return np.concatenate(weights)
 
 
 def component_labels(rects, delta: float) -> np.ndarray:
-    """Component label per rect, joining pairs at set distance <= delta (closed)."""
+    """Component label per rect, joining pairs at set distance <= delta (closed).
+
+    A rect's label is the least rect index in its component.
+    """
     if not delta >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not rects:
@@ -295,7 +343,7 @@ def gap_sequence_bruteforce(rects, cap: int = ORACLE_CAP) -> GapSequence:
     uf = _UnionFind(len(cols))
     jumps: list[tuple[float, int]] = []
     k = 0
-    while k < len(d):
+    while k < len(d) and uf.components > 1:
         value = d[k]
         before = uf.components
         while k < len(d) and d[k] == value:

@@ -384,7 +384,7 @@ def find_gap_interval(spec: CarpetSpec, coding: Coding,
             cs = s * cell.a
             if clo < thi and clo + cs > tlo:  # keep only middle-third hitters
                 heapq.heappush(heap, (-cs, clo, level + 1))
-    if found is None:
+    if found is None or found[2] == len(coding):  # no digit left to pick the gap row
         raise InvalidCoding(
             f"coding of length {len(coding)} too short to isolate a gap in I=({ilo},{ihi})")
 
@@ -483,7 +483,7 @@ def idelta_classes(spec: CarpetSpec, delta: float,
     hulls = list(zip(offsets.tolist(), (offsets + scales).tolist()))
 
     threshold = delta * (1.0 + DIST_TIE_REL)
-    uf = _UnionFind(len(words))
+    close: list[tuple[int, int]] = []
     order = sorted(range(len(words)), key=lambda k: hulls[k][0])
     for ai in range(len(order)):
         a = order[ai]
@@ -492,9 +492,11 @@ def idelta_classes(spec: CarpetSpec, delta: float,
             if hulls[b][0] - hulls[a][1] > threshold:
                 break  # later hulls start even further right
             if _interval_union_distance(blocks[a], blocks[b]) <= threshold:
-                uf.union(a, b)
+                close.append((a, b))
 
-    uf.compress()
+    uf = _UnionFind(len(words))
+    pairs = np.array(close, dtype=np.int64).reshape(-1, 2)
+    uf.union_pairs(pairs[:, 0], pairs[:, 1])
     groups: dict[int, list[Coding]] = {}
     for root, word in zip(uf.parent.tolist(), words):
         groups.setdefault(root, []).append(word)

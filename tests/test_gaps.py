@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import lgcarpet as lg
 from lgcarpet import GapSequence, Rect, synth
 from lgcarpet.errors import EmptyInput, OracleCapExceeded, TooFewGaps
+from lgcarpet.gaps import _UnionFind
 
 coord = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 extent = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
@@ -169,6 +170,15 @@ class TestMSTAgainstOracles:
         assert lg.gap_sequence_mst(rects).entries == \
             lg.gap_sequence_bruteforce(rects).entries
 
+    @pytest.mark.parametrize("rects, entries", [
+        # four picks at distance 1 close one cycle of the unit square
+        ([Rect(x, y, 0, 0) for x in (0, 1) for y in (0, 1)], ((1.0, 3),)),
+        ([Rect(x, y, 0, 0) for x in range(3) for y in range(3)], ((1.0, 8),)),
+    ])
+    def test_equal_weight_pick_cycles(self, rects, entries):
+        assert lg.gap_sequence_mst(rects).entries == entries
+        assert lg.gap_sequence_bruteforce(rects).entries == entries
+
     def test_oracle_cap(self):
         rects = synth.random_rects(11, seed=0)
         with pytest.raises(OracleCapExceeded):
@@ -230,8 +240,10 @@ class TestComponents:
                                 for p, q in itertools.combinations(rects, 2)})
         delta = data.draw(st.sampled_from(dists))
         for d in {delta, max(0.0, math.nextafter(delta, -math.inf))}:
-            assert partition(lg.component_labels(rects, d)) == \
-                partition(oracle_labels(rects, d))
+            want = partition(oracle_labels(rects, d))
+            assert partition(lg.component_labels(rects, d)) == want
+            # the label is the least index of the component
+            assert list(lg.component_labels(rects, d)) == want
 
     def test_matches_bruteforce_count(self):
         rects = synth.random_rects(80, seed=7)
@@ -295,3 +307,23 @@ class TestScalingFit:
         fit = lg.scaling_fit(seq, 2.0)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
         assert fit.r2 == 1.0
+
+
+class TestUnionFind:
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40))))
+    def test_union_pairs_matches_sequential_unions(self, case):
+        n, pairs = case
+        seq = _UnionFind(n)
+        for a, b in pairs:
+            seq.union(a, b)
+        seq.compress()
+        vec = _UnionFind(n)
+        ab = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        vec.union_pairs(ab[:, 0], ab[:, 1])
+        vec.compress()
+        assert partition(vec.parent) == partition(seq.parent)
+        assert vec.components == seq.components
+        # every component is rooted at its least member
+        assert list(vec.parent) == partition(seq.parent)

@@ -324,6 +324,12 @@ class TestFindGapInterval:
         with pytest.raises(InvalidCoding):
             lg.find_gap_interval(mcm, (1,), (0.2, 0.4))
 
+    def test_cylinder_found_at_last_digit(self, mixed):
+        # the largest x-cylinder inside I sits at the coding's last digit,
+        # which leaves no next row to take the gap from
+        with pytest.raises(InvalidCoding):
+            lg.find_gap_interval(mixed, (1,), (0.3823, 0.9173))
+
     def test_bad_interval(self, mcm):
         with pytest.raises(ValueError):
             lg.find_gap_interval(mcm, (1,) * 10, (0.5, 0.4))
