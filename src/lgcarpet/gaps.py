@@ -141,6 +141,7 @@ class _UnionFind:
         (when that one is smaller) and jumps pointers, until no pair spans two
         roots.  A root only hooks onto a smaller index, so no cycle forms;
         starting from singletons, each component is rooted at its least member.
+        On return every element's parent is its root.
         """
         while True:
             self.compress()
@@ -225,8 +226,7 @@ def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> np.ndarray:
     leaf_lo, leaf_hi = tree.levels[-1][:2]
     weights = [np.empty(0)]
     while uf.components > 1:
-        uf.compress()
-        comp = uf.parent
+        comp = uf.parent  # every entry a root: fresh, or left so by union_pairs
         best = np.full(n, cap)  # per component root: least distance found
         edge = np.full(n, -1, dtype=np.int64)  # its rect pair, as i * n + j
 
@@ -300,7 +300,6 @@ def component_labels(rects, delta: float) -> np.ndarray:
     cols = Rects.of(rects)
     uf = _UnionFind(len(cols))
     _boruvka(cols, uf, cap=math.nextafter(delta, math.inf))
-    uf.compress()
     return uf.parent.copy()
 
 
