@@ -9,6 +9,7 @@ in `carpet`; the grid count and the SVG read those columns directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,12 @@ def approx_set(spec: CarpetSpec, delta: float,
 
 
 def _grid_indices(vals: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index of each coordinate, plus a mask of values exactly on a line."""
+    """Cell index of each coordinate as a float64 integer (inf once vals / delta
+    overflows), plus a mask of values exactly on a line."""
     q = vals / delta
     r = np.rint(q)
     on_line = np.abs(q - r) <= GRID_SNAP * np.maximum(1.0, np.abs(q))
-    idx = np.floor(np.where(on_line, r, q)).astype(np.int64)
-    return idx, on_line
+    return np.floor(np.where(on_line, r, q)), on_line
 
 
 def count_grid_cells(rects, delta: float) -> int:
@@ -70,27 +71,31 @@ def count_grid_cells(rects, delta: float) -> int:
     upper side, and a rect's own top/right edge sitting exactly on a grid line
     does not claim the next cell (degenerate rects claim the one cell holding
     them).  This matches the usual box-counting convention where each point
-    contributes exactly one cell.
+    contributes exactly one cell.  The budget is checked on float64 spans, so
+    a tiny delta is refused with its true cell count before any int64 math.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     cols = Rects.of(rects)
     x0, y0, x1, y1 = cols.x0, cols.y0, cols.x1, cols.y1
 
-    u0, _ = _grid_indices(x0, delta)
-    v0, _ = _grid_indices(y0, delta)
-    u1, on_u = _grid_indices(x1, delta)
-    v1, on_v = _grid_indices(y1, delta)
-    u1 = np.where(on_u & (x1 > x0), u1 - 1, u1)
-    v1 = np.where(on_v & (y1 > y0), v1 - 1, v1)
-    u1 = np.maximum(u1, u0)
-    v1 = np.maximum(v1, v0)
-
-    rows = v1 - v0 + 1
-    spans = (u1 - u0 + 1) * rows
-    total = int(spans.sum())
-    if total > MAX_GRID_CELLS:
-        raise BudgetExceeded(f"grid count at delta={delta} touches {total} cells")
+    # A fine enough grid overflows indices to inf; u1 > u0 keeps inf - inf out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0, _ = _grid_indices(x0, delta)
+        v0, _ = _grid_indices(y0, delta)
+        u1, on_u = _grid_indices(x1, delta)
+        v1, on_v = _grid_indices(y1, delta)
+        u1 = np.where(on_u & (x1 > x0), u1 - 1, u1)
+        v1 = np.where(on_v & (y1 > y0), v1 - 1, v1)
+        rows = np.where(v1 > v0, v1 - v0, 0.0) + 1.0
+        spans = (np.where(u1 > u0, u1 - u0, 0.0) + 1.0) * rows
+    total = float(spans.sum())
+    if not total <= MAX_GRID_CELLS:
+        raise BudgetExceeded(f"grid count at delta={delta} touches {total:.0f} cells")
+    if not (np.abs([u0, v0]) < 2.0**53).all():  # past 2**53 a float is no exact cell index
+        raise ValueError(f"delta={delta} is finer than float64 resolves the rect coordinates")
+    u0, v0 = u0.astype(np.int64), v0.astype(np.int64)
+    rows, spans, total = rows.astype(np.int64), spans.astype(np.int64), int(total)
     # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows); count distinct
     # (u, v) pairs by sorting, since a linear key u * V + v overflows int64.
     rect = np.repeat(np.arange(len(spans)), spans)

@@ -81,20 +81,16 @@ def _aggregate(weights) -> tuple[tuple[float, int], ...]:
     """Group a weight multiset into descending entries, merging near-ties.
 
     Groups are anchored at their largest member: a weight joins the current
-    group when it is within TIE_REL (relative) of the group head.
+    group when it is within TIE_REL (relative) of the group head.  Equal
+    weights always share a group, so the walk runs over distinct values only.
     """
-    ws = sorted((float(w) for w in weights), reverse=True)
+    values, counts = np.unique(np.asarray(weights, dtype=float), return_counts=True)
     entries: list[tuple[float, int]] = []
-    head, count = None, 0
-    for w in ws:
-        if head is not None and head - w <= TIE_REL * head:
-            count += 1
+    for w, count in zip(values[::-1].tolist(), counts[::-1].tolist()):
+        if entries and entries[-1][0] - w <= TIE_REL * entries[-1][0]:
+            entries[-1] = (entries[-1][0], entries[-1][1] + count)
         else:
-            if head is not None:
-                entries.append((head, count))
-            head, count = w, 1
-    if head is not None:
-        entries.append((head, count))
+            entries.append((w, count))
     return tuple(entries)
 
 

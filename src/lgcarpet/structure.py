@@ -14,7 +14,9 @@ they give the quantities that drive the uniform-disconnectedness analysis:
     bound on them (check_hd_bound),
   * complementary gap intervals of guaranteed relative size (find_gap_interval),
   * the partition of stopping row-words into delta-connected classes
-    (idelta_classes) and the worst-case cylinder aspect ratio (h_delta).
+    (idelta_classes: one ordered merge of block extents, since stopping
+    strips have disjoint interiors) and the worst-case cylinder aspect
+    ratio (h_delta).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import (
     NotInProjection,
     VerificationFailed,
 )
-from .gaps import _UnionFind
 
 Coding = tuple[int, ...]
 
@@ -100,13 +101,20 @@ class IntervalSet:
         return bool((self.hi[:np.searchsorted(self.lo, hi)] > lo).any())
 
 
+def _starts(lo: np.ndarray, top: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the intervals, sorted by lo with `top` the running max of hi,
+    that start a new run: lo passes the top of all before it by more than tol."""
+    start = np.ones(len(lo), dtype=bool)
+    start[1:] = lo[1:] - top[:-1] > tol
+    return start
+
+
 def _merge(lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> IntervalSet:
     """Union of the intervals [lo, hi] with gaps <= tol closed: sort by lo and
     start a new interval where lo passes the running max of hi by more than tol."""
     order = np.argsort(lo, kind="stable")
     lo, top = lo[order], np.maximum.accumulate(hi[order])
-    start = np.ones(len(lo), dtype=bool)
-    start[1:] = lo[1:] - top[:-1] > tol
+    start = _starts(lo, top, tol)
     last = np.ones(len(lo), dtype=bool)
     last[:-1] = start[1:]
     return IntervalSet._of(lo[start], top[last])
@@ -179,6 +187,8 @@ def projection_approx(spec: CarpetSpec, depth: int,
                       max_intervals: int | None = None) -> IntervalSet:
     """Depth-k interval cover of the projection: the union of the images of
     [0, 1] under all row words of length k, one IFS step per digit."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     proj = project_F(spec)
     maps = np.array(proj.ratios), np.array(proj.offsets)
     return _ifs_cover([maps] * depth, _max_cylinders(max_intervals), f"projection at depth {depth}")
@@ -441,32 +451,18 @@ class DeltaClasses:
         return max(len(cls) for cls in self.classes)
 
 
-def _interval_union_distance(a, b) -> float:
-    """Min distance between two unions of sorted disjoint intervals."""
-    best = math.inf
-    i = j = 0
-    while i < len(a) and j < len(b):
-        alo, ahi = a[i]
-        blo, bhi = b[j]
-        if ahi < blo:
-            best = min(best, blo - ahi)
-            i += 1
-        elif bhi < alo:
-            best = min(best, alo - bhi)
-            j += 1
-        else:
-            return 0.0
-    return best
-
-
 def idelta_classes(spec: CarpetSpec, delta: float,
                    max_words: int | None = None) -> DeltaClasses:
-    """Union stopping row-words whose projection blocks sit within delta.
+    """Join stopping row-words whose projection blocks sit within delta.
 
-    Block distances are exact set distances between interval approximations
-    of the projection, refined two decades below delta; pairs are pruned by
-    hull distance first.  Comparisons allow 1e-9 relative slack so rational
-    gaps exactly equal to delta merge despite floating-point drift.
+    Word k's block is the image of the projection cover, refined two decades
+    below delta, inside its strip [t_k, t_k + s_k].  The strips come in
+    increasing y with disjoint interiors, so each block lies wholly above the
+    blocks before it and its distance to them is the gap between its lowest
+    point and their highest.  The classes are therefore the runs of one
+    ordered merge of block extents, split where that gap exceeds delta.  The
+    comparison allows 1e-9 relative slack so rational gaps exactly equal to
+    delta merge despite floating-point drift.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -476,31 +472,14 @@ def idelta_classes(spec: CarpetSpec, delta: float,
     depth = max(1, math.ceil(math.log(delta / 100.0) / math.log(b_max)))
 
     # Word k's block is its image of the projection cover at the depth left below it.
-    bases = {rel: projection_approx(spec, rel).intervals
-             for rel in {max(0, depth - len(word)) for word in words}}
-    blocks = [[(t + s * lo, t + s * hi) for lo, hi in bases[max(0, depth - len(word))]]
-              for word, s, t in zip(words, scales.tolist(), offsets.tolist())]
-    hulls = list(zip(offsets.tolist(), (offsets + scales).tolist()))
+    rel = [max(0, depth - len(word)) for word in words]
+    bounds = {r: projection_approx(spec, r).bounds for r in set(rel)}
+    base_lo, base_hi = np.array([bounds[r] for r in rel]).T
+    lo, hi = offsets + scales * base_lo, offsets + scales * base_hi
 
-    threshold = delta * (1.0 + DIST_TIE_REL)
-    close: list[tuple[int, int]] = []
-    order = sorted(range(len(words)), key=lambda k: hulls[k][0])
-    for ai in range(len(order)):
-        a = order[ai]
-        for bi in range(ai + 1, len(order)):
-            b = order[bi]
-            if hulls[b][0] - hulls[a][1] > threshold:
-                break  # later hulls start even further right
-            if _interval_union_distance(blocks[a], blocks[b]) <= threshold:
-                close.append((a, b))
-
-    uf = _UnionFind(len(words))
-    pairs = np.array(close, dtype=np.int64).reshape(-1, 2)
-    uf.union_pairs(pairs[:, 0], pairs[:, 1])
-    groups: dict[int, list[Coding]] = {}
-    for root, word in zip(uf.parent.tolist(), words):
-        groups.setdefault(root, []).append(word)
-    classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    start = _starts(lo, np.maximum.accumulate(hi), delta * (1.0 + DIST_TIE_REL))
+    cuts = [*np.flatnonzero(start).tolist(), len(words)]
+    classes = tuple(tuple(words[a:b]) for a, b in zip(cuts, cuts[1:]))
     return DeltaClasses(delta=delta, words=tuple(words), classes=classes)
 
 

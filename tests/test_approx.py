@@ -1,12 +1,15 @@
 """Half-open box counting, approximation sets, covering curves, SVG output."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
-from lgcarpet import Rect
+from lgcarpet import Rect, synth
 from lgcarpet.approx import _grid_indices
 from lgcarpet.carpet import Rects
 from lgcarpet.errors import BudgetExceeded
@@ -31,8 +34,8 @@ def set_count(rects, delta):
     v1 = np.maximum(np.where(on_v & (cols.y1 > cols.y0), v1 - 1, v1), v0)
     cells = set()
     for a0, a1, b0, b1 in zip(u0, u1, v0, v1):
-        for u in range(a0, a1 + 1):
-            for v in range(b0, b1 + 1):
+        for u in range(int(a0), int(a1) + 1):
+            for v in range(int(b0), int(b1) + 1):
                 cells.add((u, v))
     return len(cells)
 
@@ -84,6 +87,27 @@ class TestCountGridCells:
         # cell indices near 2**40 on both axes: a linear u * V + v key would overflow
         points = [Rect(x, y, 0.0, 0.0) for x, y in ((0.25, 0.5), (0.75, 0.125), (0.5, 0.25))]
         assert lg.count_grid_cells(points * 2, 2.0 ** -40) == 3
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-15, 1e-19, 1e-20, 1e-30])
+    def test_tiny_delta_refused_with_true_count(self, delta):
+        # ~1e22 cells at 1e-12: past int64, so the budget must count in floats
+        rects = synth.random_rects(20, 1)
+        want = sum((r.w / delta + 1.0) * (r.h / delta + 1.0) for r in rects)
+        with pytest.raises(BudgetExceeded) as info:
+            lg.count_grid_cells(rects, delta)
+        got = float(re.search(r"touches (\d+) cells", str(info.value)).group(1))
+        assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_delta_not_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            lg.count_grid_cells(synth.random_rects(20, 1), bad)
+
+    def test_grid_finer_than_coordinates(self):
+        # three points fit the budget, but 0.5 / 1e-20 is no int64 cell index
+        points = [Rect(x, 0.5, 0.0, 0.0) for x in (0.25, 0.5, 0.75)]
+        with pytest.raises(ValueError, match="finer than float64"):
+            lg.count_grid_cells(points, 1e-20)
 
 
 class TestBoxCount:

@@ -137,6 +137,18 @@ class TestGapSequenceShape:
         with pytest.raises(EmptyInput):
             lg.gap_sequence_bruteforce([])
 
+    def test_near_ties_anchor_at_group_head(self):
+        # gaps w, w(1 - 0.6e-9), w(1 - 1.2e-9) on a line: the second is within
+        # TIE_REL of the head and joins it; the third is within TIE_REL of the
+        # second but not of the head, so it starts its own entry (no chaining)
+        w = 0.1
+        gaps = [w, w * (1 - 0.6e-9), w * (1 - 1.2e-9)]
+        xs = np.cumsum([0.0, *gaps]).tolist()
+        seq = lg.gap_sequence_mst([Rect(x, 0.0, 0.0, 0.0) for x in xs])
+        assert [m for _, m in seq.entries] == [2, 1]
+        assert seq.entries[0][0] == pytest.approx(gaps[0], rel=1e-12)
+        assert seq.entries[1][0] == pytest.approx(gaps[2], rel=1e-12)
+
     def test_entries_descend(self):
         rects = synth.random_rects(60, seed=3)
         seq = lg.gap_sequence_mst(rects)

@@ -22,10 +22,46 @@ from lgcarpet.errors import (
     NoGapFound,
     NotInProjection,
 )
+from lgcarpet.structure import DIST_TIE_REL, _distances
+from test_carpet import uneven_specs
 
 pair = st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 0.2, allow_nan=False))
 pairs_strategy = st.lists(pair.map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=10)
 grid_specs = st.integers(0, 2 ** 32 - 1).map(synth.random_grid_spec)
+
+
+def reference_classes(spec, delta):
+    """All-pairs oracle for idelta_classes: each word's full interval block
+    (its image of the projection cover at the depth left below it), the set
+    distance between every two blocks, and a dict union-find over the pairs
+    within delta * (1 + DIST_TIE_REL).  The distance between two unions of
+    closed intervals is attained at an endpoint of one of them (0 when they
+    meet), so the endpoints' point distances give it exactly."""
+    words = lg.row_stopping_words(spec, delta)
+    b_max = max(lg.project_F(spec).ratios)
+    depth = max(1, math.ceil(math.log(delta / 100.0) / math.log(b_max)))
+    blocks = {}
+    for word in words:
+        _, _, s, t = lg.word_map(spec, [(i, 1) for i in word])
+        base = lg.projection_approx(spec, max(0, depth - len(word)))
+        blocks[word] = IntervalSet([(t + s * lo, t + s * hi) for lo, hi in base.intervals])
+    parent = {word: word for word in words}
+
+    def find(word):
+        while parent[word] != word:
+            word = parent[word]
+        return word
+
+    for a, b in itertools.combinations(words, 2):
+        a_ends = np.concatenate([blocks[a].lo, blocks[a].hi])
+        b_ends = np.concatenate([blocks[b].lo, blocks[b].hi])
+        gap = min(_distances(blocks[b], a_ends).min(), _distances(blocks[a], b_ends).min())
+        if gap <= delta * (1.0 + DIST_TIE_REL):
+            parent[find(a)] = find(b)
+    groups = {}
+    for word in words:
+        groups.setdefault(find(word), []).append(word)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 def assert_same_cover(got, pairs):
@@ -131,6 +167,10 @@ class TestProjection:
             _, _, sy, ty = lg.word_map(spec, [(i, 1) for i in rows])
             pairs.append((ty, ty + sy))
         assert_same_cover(lg.projection_approx(spec, depth), pairs)
+
+    def test_negative_depth(self, cd):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            lg.projection_approx(cd, -1)
 
     def test_budget(self, cd):
         # 16 intervals at depth 4, each with two images at depth 5
@@ -397,6 +437,19 @@ class TestIdeltaClasses:
     def test_delta_domain(self, cd, bad):
         with pytest.raises(ValueError):
             lg.idelta_classes(cd, bad)
+
+    @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
+    @pytest.mark.parametrize("delta", [1 / 3, 1 / 9, 0.1, 1 / 27, 0.05, 1 / 81])
+    def test_matches_all_pairs_oracle(self, request, name, delta):
+        # CD's blocks at 1/9 and 1/27 sit exactly delta apart: ties must merge
+        spec = request.getfixturevalue(name)
+        assert lg.idelta_classes(spec, delta).classes == reference_classes(spec, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(grid_specs, uneven_specs()),
+           st.sampled_from([0.5, 0.3, 0.1, 1 / 9, 1 / 16, 0.05, 1 / 27]))
+    def test_random_specs_match_all_pairs_oracle(self, spec, delta):
+        assert lg.idelta_classes(spec, delta).classes == reference_classes(spec, delta)
 
 
 class TestHDelta:
