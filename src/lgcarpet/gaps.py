@@ -11,18 +11,21 @@ over a median-split tree of the rects, in the style of dual-tree Borůvka
 (March, Ram & Gray, "Fast Euclidean Minimum Spanning Tree", KDD 2010): each
 component finds its nearest rect in another component by walking pairs of
 tree nodes level by level as numpy arrays, and all of a round's picks merge
-in one vectorised union; the picks of a merged group close at most one
-cycle, whose weights are equal, so one least pick per cyclic group is
-dropped.  component_labels runs the same rounds with every search capped at
-the threshold.  gap_sequence_bruteforce sweeps the full distance matrix
-threshold by threshold with a sequential union-find until one component is
-left.  Tests pin the routes against each other.
+in one vectorised union; the picks of a merged group close exactly one
+cycle, whose weights are equal, so one least pick per group is dropped.
+Before the rounds, one fixed-radius walk of the same tree joins every rect
+pair within a threshold: just below `floor`, so that the rounds resolve only
+the weights that the entries >= floor depend on.  component_labels is that
+walk alone, at its threshold.  gap_sequence_bruteforce sweeps the full
+distance matrix threshold by threshold with a sequential union-find until
+one component is left.  Tests pin the routes against each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +97,17 @@ def _aggregate(weights) -> tuple[tuple[float, int], ...]:
     return tuple(entries)
 
 
-def _pair_dist(r: Rects, i, j) -> np.ndarray:
-    """Set distances between rects i[k] and j[k]."""
+class _Boxes(NamedTuple):
+    """Closed boxes as float64 columns, such as a tree level's node boxes."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+
+
+def _pair_dist(r: Rects | _Boxes, i, j) -> np.ndarray:
+    """Set distances between rects i[k] and j[k] of the columns of `r`."""
     dx = np.maximum(0.0, np.maximum(r.x0[i] - r.x1[j], r.x0[j] - r.x1[i]))
     dy = np.maximum(0.0, np.maximum(r.y0[i] - r.y1[j], r.y0[j] - r.y1[i]))
     return np.hypot(dx, dy)
@@ -159,8 +171,8 @@ class _Tree:
     Building level L sorts each node's range along the wider spread of its
     rect centres, which makes the two children the halves of a median split.
     The last level holds single rects, plus empty nodes when n is not a power
-    of two.  `levels` lists (lo, hi, x0, y0, x1, y1) per level, the last four
-    being the node bounding boxes.
+    of two.  `levels` lists (lo, hi, boxes) per level, `boxes` being the
+    node bounding boxes.
     """
 
     def __init__(self, cols: Rects):
@@ -179,11 +191,11 @@ class _Tree:
         self.levels = []
         for level in range(depth + 1):
             lo, hi = self._ranges(n, level)
-            self.levels.append((lo, hi,
-                                np.minimum.reduceat(cols.x0[perm], lo),
-                                np.minimum.reduceat(cols.y0[perm], lo),
-                                np.maximum.reduceat(cols.x1[perm], lo),
-                                np.maximum.reduceat(cols.y1[perm], lo)))
+            boxes = _Boxes(np.minimum.reduceat(cols.x0[perm], lo),
+                           np.minimum.reduceat(cols.y0[perm], lo),
+                           np.maximum.reduceat(cols.x1[perm], lo),
+                           np.maximum.reduceat(cols.y1[perm], lo))
+            self.levels.append((lo, hi, boxes))
 
     @staticmethod
     def _ranges(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,39 +203,86 @@ class _Tree:
         bounds = (k * n) >> level
         return bounds[:-1], bounds[1:]
 
+    def node_pairs(self, level: int, a: np.ndarray, b: np.ndarray):
+        """The nonempty node pairs (c, d), c <= d, of `level` below the node
+        pairs (a, b), a <= b, of the level above (at level 0: the root pair
+        itself), with the distances between their boxes.  A self pair has
+        three child pairs, any other pair four."""
+        lo, hi, boxes = self.levels[level]
+        if level:
+            a, b = (np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1]),
+                    np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1]))
+            keep = (a <= b) & (hi[a] > lo[a]) & (hi[b] > lo[b])
+            a, b = a[keep], b[keep]
+        return a, b, _pair_dist(boxes, a, b)
 
-def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> np.ndarray:
-    """Borůvka rounds on the complete graph of rect set distances below `cap`.
 
-    Each round finds, for every component, one rect pair of least distance to
+def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
+    """Join every rect pair at set distance <= t, in one walk of `tree`.
+
+    Only a spanning forest of the pairs is merged, never the pairs themselves.
+    Tree-order neighbours within t join first: they are mostly close, and a
+    run of them makes a whole node one component.  Then the walk goes down
+    pairs of tree nodes one level at a time, as in `_boruvka`.  A node pair
+    is dropped when its box distance exceeds t, or when both nodes lie inside
+    one component (so coincident rects never make the walk quadratic).  One
+    rect pair of every surviving node pair joins when it is within t, in one
+    `uf.union_pairs` call per level, which empties most later levels.  At the
+    last level the nodes are single rects, so every pair within t is joined
+    there unless an ancestor pair already joined it.
+    """
+    perm = tree.perm
+
+    def join(i, j):
+        close = _pair_dist(cols, i, j) <= t
+        uf.union_pairs(i[close], j[close])
+
+    join(perm[:-1], perm[1:])
+    a = b = np.zeros(1, dtype=np.int64)
+    for level, (lo, hi, _) in enumerate(tree.levels):
+        a, b, dist = tree.node_pairs(level, a, b)
+        csort = uf.parent[perm]
+        cmin, cmax = np.minimum.reduceat(csort, lo), np.maximum.reduceat(csort, lo)
+        keep = ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b])) & (dist <= t)
+        a, b = a[keep], b[keep]
+        if len(a) == 0:
+            break
+        join(perm[lo[a]], perm[hi[b] - 1])
+
+
+def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
+    """Borůvka rounds on the complete graph of rect set distances over `tree`.
+
+    Starts from the components already in `uf` and returns the weights of a
+    minimum spanning tree of their quotient graph; they are all positive once
+    `uf` joins every touching pair, as `_join_within` at t >= 0 does.  Each
+    round finds, for every component, one rect pair of least distance to
     another component, then merges all these picks at once through
-    `uf.union_pairs`.  Returns the positive weights of the picks that merged.
-    Any least pair will do.  A round's picks give every old root at most one
-    out-edge, so a merged group of k roots holds k - 1 picks (a tree) or k
-    (exactly one cycle).  Each pick is the least edge of its component, so
-    going round the cycle the weights never rise: they are all equal, and
-    equal to the group's least weight.  Dropping one least pick of each
-    cyclic group leaves the weight multiset of the minimum spanning tree,
-    which is unique.  Rounds stop when one component is left or no component
-    has a pick below `cap`.
+    `uf.union_pairs`.  Any least pair will do.  Every old root has exactly one
+    pick, so a merged group of k roots holds k picks: a tree plus exactly one
+    cycle.  Each pick is the least edge of its component, so going round the
+    cycle the weights never rise: they are all equal, and equal to the
+    group's least weight.  Dropping one least pick of each group leaves the
+    weight multiset of the minimum spanning tree, which is unique.  Rounds
+    stop when one component is left.
 
     A round walks pairs of tree nodes one level at a time.  A node pair is
     dropped when both nodes lie inside the same component, or when their box
     distance is not below the larger bound of the components in them: no rect
     pair inside can then beat a bound, so ties are never chased (coincident
     rects would otherwise make the walk quadratic).  Bounds start from
-    neighbouring rects in tree order and tighten with one rect pair of every
-    surviving node pair; at the last level these pairs are exact.  The least
-    and largest component of every node are fixed within a round and are
-    built once, bottom-up from the leaves.
+    neighbouring rects in tree order, which give every component a finite
+    bound, and tighten with one rect pair of every surviving node pair; at
+    the last level these pairs are exact.  The least and largest component of
+    every node are fixed within a round and are built once, bottom-up from
+    the leaves.
     """
-    tree = _Tree(cols)
     perm, n = tree.perm, len(cols)
     leaf_lo, leaf_hi = tree.levels[-1][:2]
     weights = [np.empty(0)]
     while uf.components > 1:
         comp = uf.parent  # every entry a root: fresh, or left so by union_pairs
-        best = np.full(n, cap)  # per component root: least distance found
+        best = np.full(n, np.inf)  # per component root: least distance found
         edge = np.full(n, -1, dtype=np.int64)  # its rect pair, as i * n + j
 
         def offer(i, j):
@@ -250,37 +309,26 @@ def _boruvka(cols: Rects, uf: _UnionFind, cap: float) -> np.ndarray:
         ranges.reverse()
 
         a = b = np.zeros(1, dtype=np.int64)
-        for level, (lo, hi, x0, y0, x1, y1) in enumerate(tree.levels):
-            if level:  # child pairs with a <= b: three of a self pair, else four
-                a, b = (np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1]),
-                        np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1]))
-                a, b = a[a <= b], b[a <= b]
+        for level, (lo, hi, _) in enumerate(tree.levels):
+            a, b, dist = tree.node_pairs(level, a, b)
             cmin, cmax = ranges[level]
             bound = np.maximum.reduceat(best[csort], lo)
-            dx = np.maximum(0.0, np.maximum(x0[a] - x1[b], x0[b] - x1[a]))
-            dy = np.maximum(0.0, np.maximum(y0[a] - y1[b], y0[b] - y1[a]))
-            # both nodes nonempty, not both inside one component, and close
-            keep = ((hi[a] > lo[a]) & (hi[b] > lo[b])
-                    & ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
-                    & (np.hypot(dx, dy) < np.maximum(bound[a], bound[b])))
+            # not both inside one component, and close
+            keep = (~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
+                    & (dist < np.maximum(bound[a], bound[b])))
             a, b = a[keep], b[keep]
             if len(a) == 0:
                 break
             offer(perm[lo[a]], perm[hi[b] - 1])
 
-        picks = np.flatnonzero(best < cap)
-        if len(picks) == 0:
-            break
         roots = np.flatnonzero(comp == np.arange(n))  # before union_pairs rewrites comp
-        uf.union_pairs(*np.divmod(edge[picks], n))
-        # group = the new root; a group with as many old roots as picks is cyclic
-        group, w = uf.parent[picks], best[picks]
-        cyclic = (np.bincount(uf.parent[roots], minlength=n)
-                  == np.bincount(group, minlength=n))
+        uf.union_pairs(*np.divmod(edge[roots], n))
+        # drop one least pick per merged group (the new root)
+        group, w = uf.parent[roots], best[roots]
         order = np.lexsort((w, group))
         group, w = group[order], w[order]
         least = np.r_[True, group[1:] != group[:-1]]
-        weights.append(w[~(least & cyclic[group]) & (w > 0.0)])
+        weights.append(w[~least])
     return np.concatenate(weights)
 
 
@@ -295,7 +343,7 @@ def component_labels(rects, delta: float) -> np.ndarray:
         raise EmptyInput("no rects")
     cols = Rects.of(rects)
     uf = _UnionFind(len(cols))
-    _boruvka(cols, uf, cap=math.nextafter(delta, math.inf))
+    _join_within(_Tree(cols), cols, uf, delta)
     return uf.parent.copy()
 
 
@@ -304,17 +352,27 @@ def n_delta_components(rects, delta: float) -> int:
     return len(np.unique(component_labels(rects, delta)))
 
 
-def gap_sequence_mst(rects) -> GapSequence:
+def gap_sequence_mst(rects, floor: float = 0.0) -> GapSequence:
     """Gap sequence of a finite rect union via a tree-based Borůvka MST.
 
     Touching rects merge silently; every positive edge weight of the minimum
-    spanning tree is one gap.
+    spanning tree is one gap.  Only the entries with value >= `floor` are
+    returned, and they equal those of the full sequence: all pairs within
+    t = floor * (1 - 4 * TIE_REL) join first in one `_join_within` walk, and
+    Borůvka runs on what is left.  By Kruskal's order the MST weights above
+    t are those of the quotient by the components within t, and an entry
+    >= floor only groups weights within TIE_REL below its head, all of them
+    above t.
     """
+    if not 0.0 <= floor < math.inf:
+        raise ValueError(f"floor must be finite and >= 0, got {floor}")
     if not rects:
         raise EmptyInput("no rects")
     cols = Rects.of(rects)
-    weights = _boruvka(cols, _UnionFind(len(cols)), math.inf)
-    return GapSequence(entries=_aggregate(weights))
+    tree, uf = _Tree(cols), _UnionFind(len(cols))
+    _join_within(tree, cols, uf, floor * (1.0 - 4.0 * TIE_REL))
+    entries = _aggregate(_boruvka(tree, cols, uf))
+    return GapSequence(entries=tuple((v, m) for v, m in entries if v >= floor))
 
 
 def gap_sequence_bruteforce(rects, cap: int = ORACLE_CAP) -> GapSequence:
@@ -355,15 +413,14 @@ def gap_sequence_of_carpet(spec: CarpetSpec, delta_res: float,
                            max_cylinders: int | None = None) -> GapSequence:
     """Gap sequence of the delta_res approximation, truncated to stable entries.
 
-    Entries below SIGMA_STABILITY * delta_res are dropped: gaps larger than
-    that survive refinement of the cover (refining can move each side by at
-    most 2 * delta_res, recorded in value_error).
+    Entries below SIGMA_STABILITY * delta_res are dropped, and the MST does
+    not compute them: gaps larger than that survive refinement of the cover
+    (refining can move each side by at most 2 * delta_res, recorded in
+    value_error).
     """
     rects = approx_set(spec, delta_res, max_cylinders=max_cylinders).rects
-    seq = gap_sequence_mst(rects)
-    cutoff = SIGMA_STABILITY * delta_res
-    kept = tuple((v, m) for v, m in seq.entries if v >= cutoff)
-    return GapSequence(entries=kept, value_error=2.0 * delta_res)
+    seq = gap_sequence_mst(rects, floor=SIGMA_STABILITY * delta_res)
+    return GapSequence(entries=seq.entries, value_error=2.0 * delta_res)
 
 
 def scaling_fit(gapseq: GapSequence, s: float) -> ScalingFit:

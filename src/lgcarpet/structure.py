@@ -194,6 +194,20 @@ def projection_approx(spec: CarpetSpec, depth: int,
     return _ifs_cover([maps] * depth, _max_cylinders(max_intervals), f"projection at depth {depth}")
 
 
+def _projection_bounds(spec: CarpetSpec, depth: int) -> np.ndarray:
+    """Row r holds `projection_approx(spec, r).bounds` for r = 0..depth, bit
+    for bit, without building a cover.  Float rounding is monotone, so each
+    step's least endpoint is the least offset + scale * lo over the maps, lo
+    being the step before's least endpoint; the largest likewise."""
+    proj = project_F(spec)
+    scale, offset = np.array(proj.ratios), np.array(proj.offsets)
+    bounds = [(0.0, 1.0)]
+    for _ in range(depth):
+        lo, hi = bounds[-1]
+        bounds.append(((offset + scale * lo).min(), (offset + scale * hi).max()))
+    return np.array(bounds)
+
+
 def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
     """Row itineraries of y to the given depth, lexicographic, at most two.
 
@@ -460,9 +474,10 @@ def idelta_classes(spec: CarpetSpec, delta: float,
     increasing y with disjoint interiors, so each block lies wholly above the
     blocks before it and its distance to them is the gap between its lowest
     point and their highest.  The classes are therefore the runs of one
-    ordered merge of block extents, split where that gap exceeds delta.  The
-    comparison allows 1e-9 relative slack so rational gaps exactly equal to
-    delta merge despite floating-point drift.
+    ordered merge of block extents, split where that gap exceeds delta; only
+    the cover's bounds are needed, never the cover itself.  The comparison
+    allows 1e-9 relative slack so rational gaps exactly equal to delta merge
+    despite floating-point drift.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -473,8 +488,7 @@ def idelta_classes(spec: CarpetSpec, delta: float,
 
     # Word k's block is its image of the projection cover at the depth left below it.
     rel = [max(0, depth - len(word)) for word in words]
-    bounds = {r: projection_approx(spec, r).bounds for r in set(rel)}
-    base_lo, base_hi = np.array([bounds[r] for r in rel]).T
+    base_lo, base_hi = _projection_bounds(spec, max(rel))[rel].T
     lo, hi = offsets + scales * base_lo, offsets + scales * base_hi
 
     start = _starts(lo, np.maximum.accumulate(hi), delta * (1.0 + DIST_TIE_REL))

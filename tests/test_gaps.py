@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import lgcarpet as lg
 from lgcarpet import GapSequence, Rect, synth
 from lgcarpet.errors import EmptyInput, OracleCapExceeded, TooFewGaps
-from lgcarpet.gaps import _UnionFind
+from lgcarpet.gaps import SIGMA_STABILITY, TIE_REL, _UnionFind
 
 coord = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 extent = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
@@ -63,6 +63,25 @@ def oracle_labels(rects, delta):
         if lg.rect_distance(rects[i], rects[j]) <= delta:
             parent[find(i)] = find(j)
     return [find(k) for k in range(len(rects))]
+
+
+def at_least(entries, floor):
+    return tuple((v, m) for v, m in entries if v >= floor)
+
+
+def stacked_pairs(gaps, rise=10.0):
+    """Point pairs exactly `gaps[k]` apart in x, stacked `rise` apart in y,
+    so every distance is exact: gaps once each, then rise len(gaps) - 1 times."""
+    return [Rect(x, rise * k, 0.0, 0.0) for k, g in enumerate(gaps) for x in (0.0, g)]
+
+
+def overlapping_clusters(n, seed):
+    """n rects of side 0.2..0.5 in four clusters one unit apart in x: each
+    cluster is one component at 0, with nearly every pair overlapping."""
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.integers(0, 4, n) + rng.uniform(0, 0.5, n)
+    y, w, h = rng.uniform(0, 0.5, n), rng.uniform(0.2, 0.5, n), rng.uniform(0.2, 0.5, n)
+    return [Rect(*r) for r in zip(x.tolist(), y.tolist(), w.tolist(), h.tolist())]
 
 
 def partition(labels):
@@ -137,6 +156,11 @@ class TestGapSequenceShape:
         with pytest.raises(EmptyInput):
             lg.gap_sequence_bruteforce([])
 
+    @pytest.mark.parametrize("floor", [-0.1, -math.inf, math.inf, math.nan])
+    def test_bad_floor(self, floor):
+        with pytest.raises(ValueError, match="floor must be finite and >= 0"):
+            lg.gap_sequence_mst([Rect(0, 0, 1, 1), Rect(2, 0, 1, 1)], floor=floor)
+
     def test_near_ties_anchor_at_group_head(self):
         # gaps w, w(1 - 0.6e-9), w(1 - 1.2e-9) on a line: the second is within
         # TIE_REL of the head and joins it; the third is within TIE_REL of the
@@ -195,6 +219,74 @@ class TestMSTAgainstOracles:
         rects = synth.random_rects(11, seed=0)
         with pytest.raises(OracleCapExceeded):
             lg.gap_sequence_bruteforce(rects, cap=10)
+
+
+class TestFloor:
+    """gap_sequence_mst(rects, floor) returns the full sequence's entries >= floor."""
+
+    @given(st.lists(lattice_rect, min_size=2, max_size=40), st.data())
+    def test_lattice_floor_matches_bruteforce(self, rects, data):
+        entries = lg.gap_sequence_bruteforce(rects).entries
+        value = data.draw(st.sampled_from([v for v, _ in entries] or [0.25]))
+        k = data.draw(st.integers(-5, 5))
+        floor = value * (1 + k * 1e-9)
+        assert lg.gap_sequence_mst(rects, floor=floor).entries == at_least(entries, floor)
+
+    def test_gaps_exactly_at_the_floor(self):
+        # the floor is closed, and one ulp below it still joins the head
+        c = 0.1
+        rects = stacked_pairs([0.5, c, c, math.nextafter(c, 0.0), c * (1 - 3e-9)])
+        assert lg.gap_sequence_mst(rects).entries == \
+            ((10.0, 4), (0.5, 1), (c, 3), (c * (1 - 3e-9), 1))
+        assert lg.gap_sequence_mst(rects, floor=c).entries == ((10.0, 4), (0.5, 1), (c, 3))
+
+    def test_group_members_below_the_floor(self):
+        # a head above the floor keeps a member within TIE_REL below it even
+        # though that member is below the floor; the next gap starts a new,
+        # dropped entry
+        c = 0.1
+        head, member, next_ = c * (1 + 0.5e-9), c * (1 - 0.4e-9), c * (1 - 2e-9)
+        assert head - member <= TIE_REL * head < head - next_
+        rects = stacked_pairs([head, member, next_])
+        full = lg.gap_sequence_mst(rects).entries
+        assert full == ((10.0, 2), (head, 2), (next_, 1))
+        assert lg.gap_sequence_mst(rects, floor=c).entries == ((10.0, 2), (head, 2))
+        assert lg.gap_sequence_bruteforce(rects).entries == full
+
+    def test_random_sets_match_full_sequence(self):
+        for seed in range(10):
+            rects = synth.random_rects(150, seed=seed)
+            full = lg.gap_sequence_mst(rects).entries
+            for value, _ in full[::7]:
+                assert lg.gap_sequence_mst(rects, floor=value).entries == \
+                    at_least(full, value)
+
+    def test_overlapping_rects_never_walk_all_pairs(self, monkeypatch):
+        n = 20000
+        rects = overlapping_clusters(n, seed=0)
+        evaluated = []
+        pair_dist = lg.gaps._pair_dist
+
+        def counting(r, i, j):
+            evaluated.append(len(i))
+            return pair_dist(r, i, j)
+
+        monkeypatch.setattr(lg.gaps, "_pair_dist", counting)
+        assert len(set(lg.component_labels(rects, 0.0).tolist())) == 4
+        seq = lg.gap_sequence_mst(rects, floor=0.01)
+        assert seq.total_multiplicity == 3
+        assert all(v >= 1.0 for v, _ in seq.entries)
+        # a few rect and node-box pairs per rect, against n * (n - 1) / 2 = 2e8
+        assert sum(evaluated) < 40 * n
+
+    @pytest.mark.parametrize("name", ["cd", "mcm"])
+    def test_carpet_equals_filtered_full_sequence(self, request, name):
+        spec, delta_res = request.getfixturevalue(name), 1e-3
+        rects = lg.approx_set(spec, delta_res).rects
+        full = lg.gap_sequence_mst(rects).entries
+        seq = lg.gap_sequence_of_carpet(spec, delta_res)
+        assert seq.entries == at_least(full, SIGMA_STABILITY * delta_res)
+        assert seq.entries and len(seq.entries) < len(full)
 
 
 class TestCantorIntervals:

@@ -22,7 +22,7 @@ from lgcarpet.errors import (
     NoGapFound,
     NotInProjection,
 )
-from lgcarpet.structure import DIST_TIE_REL, _distances
+from lgcarpet.structure import DIST_TIE_REL, _distances, _projection_bounds
 from test_carpet import uneven_specs
 
 pair = st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 0.2, allow_nan=False))
@@ -450,6 +450,25 @@ class TestIdeltaClasses:
            st.sampled_from([0.5, 0.3, 0.1, 1 / 9, 1 / 16, 0.05, 1 / 27]))
     def test_random_specs_match_all_pairs_oracle(self, spec, delta):
         assert lg.idelta_classes(spec, delta).classes == reference_classes(spec, delta)
+
+    @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
+    def test_bounds_match_projection_cover(self, request, name):
+        # bit for bit, not approximately
+        spec = request.getfixturevalue(name)
+        bounds = _projection_bounds(spec, 10)
+        for r in range(11):
+            assert tuple(bounds[r].tolist()) == lg.projection_approx(spec, r).bounds
+
+    def test_fine_delta_builds_no_cover(self):
+        # at 0.002 the words need the bounds of the depth-16 projection
+        # cover, whose build is refused at a step of 3^15 image intervals
+        # (over the budget); the bounds need no cover
+        rows = [(1 / 7, 1), (1 / 7, 1), (4 / 7, 1), (1 / 7, 0)]
+        spec = lg.CarpetSpec(tuple(lg.RowSpec(b, tuple(lg.Cell(b / 4, 0.0) for _ in range(n)))
+                                   for b, n in rows))
+        dc = lg.idelta_classes(spec, 0.002)
+        assert sorted(w for cls in dc.classes for w in cls) == sorted(dc.words)
+        assert len(dc.classes) > 1
 
 
 class TestHDelta:
