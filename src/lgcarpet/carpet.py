@@ -78,15 +78,28 @@ class Rects(Sequence):
 
     def __init__(self, x0: np.ndarray, y0: np.ndarray, w: np.ndarray, h: np.ndarray):
         self.x0, self.y0, self.w, self.h = x0, y0, w, h
-        self.x1, self.y1 = x0 + w, y0 + h
+        with np.errstate(over="ignore"):  # an overflowing corner is refused in `of`
+            self.x1, self.y1 = x0 + w, y0 + h
 
     @classmethod
     def of(cls, rects) -> "Rects":
-        """The columns of `rects`: a `Rects` as is, or any iterable of `Rect`."""
+        """The columns of `rects`: a `Rects` as is, or any iterable of `Rect`.
+
+        Every rect must have finite corners and w, h >= 0; otherwise raises
+        ValueError naming the first that does not.
+        """
         if isinstance(rects, Rects):
-            return rects
-        cols = np.array([(r.x0, r.y0, r.w, r.h) for r in rects], dtype=float)
-        return cls(*cols.reshape(-1, 4).T.copy())
+            cols = rects
+        else:
+            a = np.array([(r.x0, r.y0, r.w, r.h) for r in rects], dtype=float)
+            cols = cls(*a.reshape(-1, 4).T.copy())
+        ok = (np.isfinite(cols.x0) & np.isfinite(cols.y0) & np.isfinite(cols.x1)
+              & np.isfinite(cols.y1) & (cols.w >= 0.0) & (cols.h >= 0.0))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"rect {k} must have finite corners and w, h >= 0, "
+                             f"got {cols[k]}")
+        return cols
 
     def __len__(self) -> int:
         return len(self.x0)

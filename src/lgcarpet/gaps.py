@@ -13,6 +13,9 @@ component finds its nearest rect in another component by walking pairs of
 tree nodes level by level as numpy arrays, and all of a round's picks merge
 in one vectorised union; the picks of a merged group close exactly one
 cycle, whose weights are equal, so one least pick per group is dropped.
+Every surviving node pair offers the pair of its two nodes' first rects,
+which in side-by-side clusters of one shape are matching rects, so the
+per-component bounds that prune the walk tighten well above the leaves.
 Before the rounds, one fixed-radius walk of the same tree joins every rect
 pair within a threshold: just below `floor`, so that the rounds resolve only
 the weights that the entries >= floor depend on.  component_labels is that
@@ -170,15 +173,23 @@ class _Tree:
     hi = (k+1)*n >> L, so its children are nodes 2k and 2k+1 of level L+1.
     Building level L sorts each node's range along the wider spread of its
     rect centres, which makes the two children the halves of a median split.
-    The last level holds single rects, plus empty nodes when n is not a power
-    of two.  `levels` lists (lo, hi, boxes) per level, `boxes` being the
-    node bounding boxes.
+    The centres are ranked along x and along y once, by stable sorts, so that
+    each level is one sort of the distinct int64 keys node * n + rank (ties
+    in a coordinate keep index order).  The last level holds single rects,
+    plus empty nodes when n is not a power of two.  `levels` lists
+    (lo, hi, boxes) per level, `boxes` being the node bounding boxes, each
+    the hull of its children's.
     """
 
     def __init__(self, cols: Rects):
         n = len(cols)
         depth = (n - 1).bit_length()
         cx, cy = cols.x0 + cols.x1, cols.y0 + cols.y1
+        # int32 ranks keep the build's memory low; rect sets that fit in
+        # memory have n < 2**31
+        rank_x, rank_y = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+        rank_x[np.argsort(cx, kind="stable")] = np.arange(n)
+        rank_y[np.argsort(cy, kind="stable")] = np.arange(n)
         perm = np.arange(n)
         for level in range(depth):
             lo, hi = self._ranges(n, level)
@@ -186,16 +197,25 @@ class _Tree:
             xs, ys = cx[perm], cy[perm]
             wide_x = (np.maximum.reduceat(xs, lo) - np.minimum.reduceat(xs, lo)
                       >= np.maximum.reduceat(ys, lo) - np.minimum.reduceat(ys, lo))
-            perm = perm[np.lexsort((np.where(wide_x[node], xs, ys), node))]
+            rank = np.where(wide_x[node], rank_x[perm], rank_y[perm])
+            perm = perm[np.argsort(node * n + rank)]
         self.perm = perm
-        self.levels = []
-        for level in range(depth + 1):
-            lo, hi = self._ranges(n, level)
-            boxes = _Boxes(np.minimum.reduceat(cols.x0[perm], lo),
-                           np.minimum.reduceat(cols.y0[perm], lo),
-                           np.maximum.reduceat(cols.x1[perm], lo),
-                           np.maximum.reduceat(cols.y1[perm], lo))
-            self.levels.append((lo, hi, boxes))
+        # leaf boxes, empty leaves inverted; each level above is the hull of
+        # its children (only leaves can be empty)
+        lo, hi = self._ranges(n, depth)
+        leaf, full = perm[np.minimum(lo, n - 1)], hi > lo
+        boxes = _Boxes(np.where(full, cols.x0[leaf], np.inf),
+                       np.where(full, cols.y0[leaf], np.inf),
+                       np.where(full, cols.x1[leaf], -np.inf),
+                       np.where(full, cols.y1[leaf], -np.inf))
+        self.levels = [(lo, hi, boxes)]
+        for level in range(depth - 1, -1, -1):
+            boxes = _Boxes(np.minimum(boxes.x0[0::2], boxes.x0[1::2]),
+                           np.minimum(boxes.y0[0::2], boxes.y0[1::2]),
+                           np.maximum(boxes.x1[0::2], boxes.x1[1::2]),
+                           np.maximum(boxes.y1[0::2], boxes.y1[1::2]))
+            self.levels.append((*self._ranges(n, level), boxes))
+        self.levels.reverse()
 
     @staticmethod
     def _ranges(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +292,15 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
     pair inside can then beat a bound, so ties are never chased (coincident
     rects would otherwise make the walk quadratic).  Bounds start from
     neighbouring rects in tree order, which give every component a finite
-    bound, and tighten with one rect pair of every surviving node pair; at
-    the last level these pairs are exact.  The least and largest component of
-    every node are fixed within a round and are built once, bottom-up from
-    the leaves.
+    bound, and tighten with the first rects of the two nodes of every
+    surviving node pair; at the last level these pairs are exact.  Sibling
+    ranges are sorted along one axis, so for translated clusters the two
+    first rects match and realise the box distance high up the tree.  The
+    least and largest component of every node are fixed within a round and
+    are built once, bottom-up from the leaves.  A node of one component
+    reads its bound directly; only while some node holds several does a
+    level take the maximum over the rects of each node, so that it includes
+    the offers of the levels above.
     """
     perm, n = tree.perm, len(cols)
     leaf_lo, leaf_hi = tree.levels[-1][:2]
@@ -289,8 +314,8 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
             cross = comp[i] != comp[j]
             i, j = i[cross], j[cross]
             c = np.concatenate([comp[i], comp[j]])
-            d = np.tile(_pair_dist(cols, i, j), 2)
-            e = np.tile(i * n + j, 2)
+            d, e = _pair_dist(cols, i, j), i * n + j
+            d, e = np.concatenate([d, d]), np.concatenate([e, e])
             np.minimum.at(best, c, d)
             hit = d == best[c]
             edge[c[hit]] = e[hit]
@@ -312,14 +337,17 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
         for level, (lo, hi, _) in enumerate(tree.levels):
             a, b, dist = tree.node_pairs(level, a, b)
             cmin, cmax = ranges[level]
-            bound = np.maximum.reduceat(best[csort], lo)
+            bound = best[np.minimum(cmin, n - 1)]  # exact for one-component nodes
+            multi = cmin < cmax
+            if multi.any():
+                bound = np.where(multi, np.maximum.reduceat(best[csort], lo), bound)
             # not both inside one component, and close
             keep = (~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
                     & (dist < np.maximum(bound[a], bound[b])))
             a, b = a[keep], b[keep]
             if len(a) == 0:
                 break
-            offer(perm[lo[a]], perm[hi[b] - 1])
+            offer(perm[lo[a]], perm[lo[b]])
 
         roots = np.flatnonzero(comp == np.arange(n))  # before union_pairs rewrites comp
         uf.union_pairs(*np.divmod(edge[roots], n))
@@ -385,9 +413,9 @@ def gap_sequence_bruteforce(rects, cap: int = ORACLE_CAP) -> GapSequence:
         raise EmptyInput("no rects")
     if len(rects) > cap:
         raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {cap}")
-    if len(rects) == 1:
-        return GapSequence(entries=())
     cols = Rects.of(rects)
+    if len(cols) == 1:
+        return GapSequence(entries=())
     iu, ju = np.triu_indices(len(cols), k=1)
     d = _pair_dist(cols, iu, ju)
     order = np.lexsort((ju, iu, d))

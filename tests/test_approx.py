@@ -48,6 +48,12 @@ class TestCountGridCells:
     def test_single_point(self):
         assert lg.count_grid_cells([Rect(0.4, 0.7, 0.0, 0.0)], 1 / 3) == 1
 
+    @pytest.mark.parametrize("bad", [Rect(math.nan, 0, 1, 1), Rect(math.inf, 0, 1, 1),
+                                     Rect(2, 0, -5, 1), Rect(0, 0, 1, math.nan)])
+    def test_bad_rect(self, bad):
+        with pytest.raises(ValueError, match="rect 1 must have finite corners"):
+            lg.count_grid_cells([Rect(0, 0, 1, 1), bad, Rect(3, 0, 1, 1)], 0.5)
+
     def test_point_on_grid_line(self):
         # degenerate rects are not pulled off the line they sit on
         assert lg.count_grid_cells([Rect(1 / 3, 1 / 3, 0.0, 0.0)], 1 / 3) == 1

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import lgcarpet as lg
 from lgcarpet import GapSequence, Rect, synth
 from lgcarpet.errors import EmptyInput, OracleCapExceeded, TooFewGaps
-from lgcarpet.gaps import SIGMA_STABILITY, TIE_REL, _UnionFind
+from lgcarpet.carpet import Rects
+from lgcarpet.gaps import SIGMA_STABILITY, TIE_REL, _Tree, _UnionFind
 
 coord = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 extent = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
@@ -82,6 +83,29 @@ def overlapping_clusters(n, seed):
     x = 2.0 * rng.integers(0, 4, n) + rng.uniform(0, 0.5, n)
     y, w, h = rng.uniform(0, 0.5, n), rng.uniform(0.2, 0.5, n), rng.uniform(0.2, 0.5, n)
     return [Rect(*r) for r in zip(x.tolist(), y.tolist(), w.tolist(), h.tolist())]
+
+
+def translated_copies(seed, size=25, copies=4):
+    """`size` random rects in [0, 0.1]^2, copied onto a copies x copies grid
+    0.25 apart: side-by-side clusters of one shape."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0, 0.08, size), rng.uniform(0, 0.08, size)
+    w, h = rng.uniform(0, 0.02, size), rng.uniform(0, 0.02, size)
+    return [Rect(float(x[k]) + 0.25 * i, float(y[k]) + 0.25 * j, float(w[k]), float(h[k]))
+            for i in range(copies) for j in range(copies) for k in range(size)]
+
+
+def count_pair_dist(monkeypatch):
+    """Record the length of every `_pair_dist` call (rect and node-box pairs)."""
+    evaluated = []
+    pair_dist = lg.gaps._pair_dist
+
+    def counting(r, i, j):
+        evaluated.append(len(i))
+        return pair_dist(r, i, j)
+
+    monkeypatch.setattr(lg.gaps, "_pair_dist", counting)
+    return evaluated
 
 
 def partition(labels):
@@ -215,10 +239,95 @@ class TestMSTAgainstOracles:
         assert lg.gap_sequence_mst(rects).entries == entries
         assert lg.gap_sequence_bruteforce(rects).entries == entries
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_translated_clusters_match_bruteforce(self, seed):
+        rects = translated_copies(seed)
+        assert len(rects) <= 500
+        full = lg.gap_sequence_bruteforce(rects).entries
+        assert lg.gap_sequence_mst(rects).entries == full
+        floor = (full[2][0] + full[3][0]) / 2
+        assert lg.gap_sequence_mst(rects, floor=floor).entries == at_least(full, floor)
+
     def test_oracle_cap(self):
         rects = synth.random_rects(11, seed=0)
         with pytest.raises(OracleCapExceeded):
             lg.gap_sequence_bruteforce(rects, cap=10)
+
+
+class TestBadRects:
+    """A rect with a corner that is not finite or a negative side is refused
+    up front, naming its index: a NaN would make the Borůvka rounds loop
+    forever, and an infinite corner would give an infinite gap."""
+
+    BAD = [Rect(math.nan, 0, 1, 1), Rect(0, math.nan, 1, 1), Rect(math.inf, 0, 1, 1),
+           Rect(0, -math.inf, 1, 1), Rect(0, 0, math.inf, 1), Rect(0, 0, 1, math.nan),
+           Rect(2, 0, -5, 1), Rect(2, 0, 1, -0.5), Rect(1e308, 0, 1e308, 1)]
+
+    @pytest.mark.parametrize("entry", [
+        lg.gap_sequence_mst, lg.gap_sequence_bruteforce,
+        lambda rects: lg.component_labels(rects, 0.5),
+    ])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refused(self, entry, bad):
+        with pytest.raises(ValueError, match="rect 1 must have finite corners"):
+            entry([Rect(0, 0, 1, 1), bad, Rect(3, 0, 1, 1)])
+
+    def test_single_bad_rect(self):
+        with pytest.raises(ValueError, match="rect 0 "):
+            lg.gap_sequence_bruteforce([Rect(math.nan, 0, 1, 1)])
+
+    def test_columns_checked_too(self):
+        good = Rects.of([Rect(0, 0, 1, 1), Rect(3, 0, 1, 1)])
+        assert Rects.of(good) is good
+        bad = Rects(np.array([0.0, 3.0]), np.array([0.0, 0.0]),
+                    np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="rect 1 "):
+            lg.gap_sequence_mst(bad)
+
+    def test_points_and_segments_stay_valid(self):
+        rects = [Rect(0, 0, 0, 0), Rect(1, 0, 0, 2), Rect(3, 0, 0, 0)]
+        assert lg.gap_sequence_mst(rects).entries == ((2.0, 1), (1.0, 1))
+
+
+class TestTree:
+    """The median-split tree's layout: ranges, splits and node boxes."""
+
+    @staticmethod
+    def check(rects):
+        cols = Rects.of(rects)
+        n = len(cols)
+        tree = _Tree(cols)
+        perm = tree.perm
+        assert sorted(perm.tolist()) == list(range(n))
+        cx, cy = (cols.x0 + cols.x1)[perm], (cols.y0 + cols.y1)[perm]
+        depth = len(tree.levels) - 1
+        assert depth == (n - 1).bit_length()
+        for level, (lo, hi, boxes) in enumerate(tree.levels):
+            k = np.arange(2 ** level + 1)
+            assert lo.tolist() == ((k[:-1] * n) >> level).tolist()
+            assert hi.tolist() == ((k[1:] * n) >> level).tolist()
+            for node in np.flatnonzero(hi > lo):
+                span = slice(lo[node], hi[node])
+                assert boxes.x0[node] == cols.x0[perm[span]].min()
+                assert boxes.y0[node] == cols.y0[perm[span]].min()
+                assert boxes.x1[node] == cols.x1[perm[span]].max()
+                assert boxes.y1[node] == cols.y1[perm[span]].max()
+                if level == depth:
+                    assert hi[node] - lo[node] == 1
+                    continue
+                xs, ys = cx[span], cy[span]
+                c = xs if np.ptp(xs) >= np.ptp(ys) else ys
+                mid = ((2 * node + 1) * n >> (level + 1)) - lo[node]
+                if 0 < mid < len(c):
+                    assert c[:mid].max() <= c[mid:].min()
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=70))
+    def test_tie_heavy_lattices(self, cells):
+        self.check([Rect(*map(float, c)) for c in cells])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100, 333])
+    def test_random_rects(self, n):
+        self.check(synth.random_rects(n, seed=n))
 
 
 class TestFloor:
@@ -264,20 +373,22 @@ class TestFloor:
     def test_overlapping_rects_never_walk_all_pairs(self, monkeypatch):
         n = 20000
         rects = overlapping_clusters(n, seed=0)
-        evaluated = []
-        pair_dist = lg.gaps._pair_dist
-
-        def counting(r, i, j):
-            evaluated.append(len(i))
-            return pair_dist(r, i, j)
-
-        monkeypatch.setattr(lg.gaps, "_pair_dist", counting)
+        evaluated = count_pair_dist(monkeypatch)
         assert len(set(lg.component_labels(rects, 0.0).tolist())) == 4
         seq = lg.gap_sequence_mst(rects, floor=0.01)
         assert seq.total_multiplicity == 3
         assert all(v >= 1.0 for v, _ in seq.entries)
         # a few rect and node-box pairs per rect, against n * (n - 1) / 2 = 2e8
         assert sum(evaluated) < 40 * n
+
+    def test_carpet_walk_budget(self, cd, monkeypatch):
+        # 16384 separated rects in 512 side-by-side clusters at the floor: the
+        # first rects of two nodes realise their box distance early, so the
+        # rounds need well under 20 rect and node-box pairs per rect
+        n = len(lg.approx_set(cd, 1e-3).rects)
+        evaluated = count_pair_dist(monkeypatch)
+        assert lg.gap_sequence_of_carpet(cd, 1e-3).total_multiplicity == 511
+        assert sum(evaluated) < 20 * n
 
     @pytest.mark.parametrize("name", ["cd", "mcm"])
     def test_carpet_equals_filtered_full_sequence(self, request, name):
