@@ -191,12 +191,15 @@ class _Tree:
         rank_x[np.argsort(cx, kind="stable")] = np.arange(n)
         rank_y[np.argsort(cy, kind="stable")] = np.arange(n)
         perm = np.arange(n)
+
+        def spread(c):  # per node of the level being built
+            c = c[perm]
+            return np.maximum.reduceat(c, lo) - np.minimum.reduceat(c, lo)
+
         for level in range(depth):
             lo, hi = self._ranges(n, level)
             node = np.repeat(np.arange(len(lo)), hi - lo)
-            xs, ys = cx[perm], cy[perm]
-            wide_x = (np.maximum.reduceat(xs, lo) - np.minimum.reduceat(xs, lo)
-                      >= np.maximum.reduceat(ys, lo) - np.minimum.reduceat(ys, lo))
+            wide_x = spread(cx) >= spread(cy)
             rank = np.where(wide_x[node], rank_x[perm], rank_y[perm])
             perm = perm[np.argsort(node * n + rank)]
         self.perm = perm
