@@ -1,13 +1,21 @@
 """Command-line surface tying the library into reproducible runs.
 
 Subcommands: validate, dimension, render, boxcount, gaps, scaling, fibers,
-check-ud, chain, report.  Outputs go to --out when given, else to stdout.
-Exit codes: 0 success (Undetermined verdicts are success), 1 domain errors,
-2 usage errors.  The environment variable LG_MAX_CYLINDERS overrides the
-cylinder enumeration cap; it must be an integer >= 1.
+check-ud, chain, report.  Each but validate maps the validated spec and the
+parsed arguments to its result: SVG text, a (header, rows) table or a
+JSON-ready dict.  `main` is the one command path: it parses, loads and
+validates the spec once, writes the result to --out or stdout (tables as CSV
+with floats by repr, dicts as JSON with indent 2), and maps domain errors to
+exit 1.  validate puts load failures and violations in its JSON payload
+instead, and exits 1 when there are any.
 
-Reports never embed wall-clock timings so that two runs on the same input
-produce byte-identical files.
+Exit codes: 0 success (Undetermined verdicts are success); 1 domain errors,
+with one `error: <type>: <message>` line on stderr; 2 usage errors, the
+cross-flag ones included, with the subcommand's usage line and then
+`lgcarpet <subcommand>: error: <message>` on stderr, before any spec is read.
+LG_MAX_CYLINDERS overrides the cylinder enumeration cap; it must be an
+integer >= 1.  Reports never embed wall-clock timings, so two runs on the
+same input produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,14 +36,6 @@ from .gaps import gap_sequence_of_carpet, scaling_fit
 from .structure import fiber_approx
 
 
-def _number(text: str) -> float:
-    """Accept plain floats ('1e-3', '0.25') and rational strings ('1/27')."""
-    try:
-        return float(text)
-    except ValueError:
-        return float(Fraction(text))
-
-
 def _checked(parse, ok, what: str):
     """Argparse type: parse the text and refuse values outside the domain.
 
@@ -53,6 +53,11 @@ def _checked(parse, ok, what: str):
     return convert
 
 
+def _number(text: str) -> float:
+    """Plain floats ('1e-3', '0.25') and rational strings ('1/27')."""
+    return float(Fraction(text))
+
+
 _unit = _checked(_number, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _open_unit = _checked(_number, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _positive = _checked(_number, lambda v: 0.0 < v < float("inf"), "a positive number")
@@ -63,170 +68,96 @@ def _int_from(low: int):
 
 
 def _coding(text: str) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in text.split(","))
-    if not parts:
-        raise ValueError("empty coding")
-    return parts
+    return tuple(int(p) for p in text.split(","))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def write_csv(out: str | None, header: list[str], rows) -> None:
-    write_text(out, csv_text(header, rows))
-
-
-def write_json(out: str | None, payload) -> None:
-    write_text(out, json.dumps(payload, indent=2) + "\n")
-
-
-def _load_valid(path: str) -> CarpetSpec:
-    """Load a spec and refuse to proceed when it violates the constraints."""
-    spec = load_spec(path)
-    violations = validate(spec)
-    if violations:
-        summary = "; ".join(f"{v.constraint} at {v.where}" for v in violations)
-        raise SchemaError(f"invalid spec {path}: {summary}")
-    return spec
-
-
-def _cmd_validate(args) -> int:
+def _validate(path: str) -> tuple[dict, int]:
+    """The validate payload and exit code; a spec that fails to load is invalid."""
     try:
-        spec = load_spec(args.spec)
+        violations = [asdict(v) for v in validate(load_spec(path))]
     except (SchemaError, json.JSONDecodeError, OSError) as exc:
-        payload = {"valid": False, "violations": [
-            {"constraint": "schema", "where": args.spec, "message": str(exc)}]}
-        write_json(args.out, payload)
-        return 1
-    violations = validate(spec)
-    payload = {"valid": not violations,
-               "violations": [asdict(v) for v in violations]}
-    write_json(args.out, payload)
-    return 0 if not violations else 1
+        violations = [{"constraint": "schema", "where": path, "message": str(exc)}]
+    return {"valid": not violations, "violations": violations}, 1 if violations else 0
 
 
-def _cmd_dimension(args) -> int:
-    spec = _load_valid(args.spec)
-    res = solve_bdim(spec, tol=args.tol)
-    write_json(args.out, asdict(res))
-    return 0
+def _dimension(spec: CarpetSpec, args) -> dict:
+    return asdict(solve_bdim(spec, tol=args.tol))
 
 
-def _cmd_render(args) -> int:
-    if (args.depth is None) == (args.delta is None):
-        print("error: render needs exactly one of --depth or --delta",
-              file=sys.stderr)
-        return 2
-    spec = _load_valid(args.spec)
-    svg = render_svg(spec, depth=args.depth, delta=args.delta, size=args.size)
-    write_text(args.out, svg)
-    return 0
+def _render(spec: CarpetSpec, args) -> str:
+    return render_svg(spec, depth=args.depth, delta=args.delta, size=args.size)
 
 
-def _cmd_boxcount(args) -> int:
-    if not args.delta_min < args.delta_max:
-        print("error: boxcount needs --delta-min < --delta-max", file=sys.stderr)
-        return 2
-    spec = _load_valid(args.spec)
+def _boxcount(spec: CarpetSpec, args) -> tuple:
     curve = n_delta_curve(spec, args.delta_max, args.delta_min, args.steps)
-    write_csv(args.out, ["delta", "count"], curve.samples)
-    return 0
+    return ["delta", "count"], curve.samples
 
 
-def _cmd_gaps(args) -> int:
-    spec = _load_valid(args.spec)
-    seq = gap_sequence_of_carpet(spec, args.delta_res)
-    entries = seq.entries if args.top is None else seq.entries[:args.top]
-    write_csv(args.out, ["value", "multiplicity"], entries)
-    return 0
+def _gaps(spec: CarpetSpec, args) -> tuple:
+    entries = gap_sequence_of_carpet(spec, args.delta_res).entries
+    return ["value", "multiplicity"], entries if args.top is None else entries[:args.top]
 
 
 def _gap_scaling(spec: CarpetSpec, delta_res: float, s: float) -> dict:
     seq = gap_sequence_of_carpet(spec, delta_res)
     fit = scaling_fit(seq, s)
-    return {
-        "slope": fit.slope,
-        "expected_slope": -1.0 / s,
-        "intercept": fit.intercept,
-        "r2": fit.r2,
-        "ratio_band": list(fit.ratio_band),
-        "gap_count": seq.total_multiplicity,
-        "value_error": seq.value_error,
-    }
+    return {"slope": fit.slope, "expected_slope": -1.0 / s, "intercept": fit.intercept,
+            "r2": fit.r2, "ratio_band": list(fit.ratio_band),
+            "gap_count": seq.total_multiplicity, "value_error": seq.value_error}
 
 
-def _cmd_scaling(args) -> int:
-    spec = _load_valid(args.spec)
-    write_json(args.out, _gap_scaling(spec, args.delta_res, solve_bdim(spec).s))
-    return 0
+def _scaling(spec: CarpetSpec, args) -> dict:
+    return _gap_scaling(spec, args.delta_res, solve_bdim(spec).s)
 
 
-def _cmd_fibers(args) -> int:
-    spec = _load_valid(args.spec)
-    pattern = args.coding
-    coding = tuple(pattern[k % len(pattern)] for k in range(args.depth))
-    fiber = fiber_approx(spec, coding)
-    write_csv(args.out, ["left", "right"], fiber.intervals)
-    return 0
+def _fibers(spec: CarpetSpec, args) -> tuple:
+    coding = tuple(args.coding[k % len(args.coding)] for k in range(args.depth))
+    return ["left", "right"], fiber_approx(spec, coding).intervals
 
 
-def _cmd_check_ud(args) -> int:
-    spec = _load_valid(args.spec)
-    verdict = check_uniform_disconnectedness(spec, max_depth=args.max_depth)
-    write_json(args.out, asdict(verdict))
-    return 0
+def _check_ud(spec: CarpetSpec, args) -> dict:
+    return asdict(check_uniform_disconnectedness(spec, max_depth=args.max_depth))
 
 
-def _cmd_chain(args) -> int:
-    spec = _load_valid(args.spec)
+def _chain(spec: CarpetSpec, args) -> tuple:
     chain = build_epsilon_chain(spec, args.epsilon, depth_pad=args.depth_pad)
-    rows = [(k, x, y) for k, (x, y) in enumerate(chain.points)]
-    write_csv(args.out, ["index", "x", "y"], rows)
-    return 0
+    return ["index", "x", "y"], [(k, x, y) for k, (x, y) in enumerate(chain.points)]
 
 
-def _cmd_report(args) -> int:
-    spec = _load_valid(args.spec)
+def _report(spec: CarpetSpec, args) -> dict:
     res = solve_bdim(spec, tol=args.tol)
     verdict = check_uniform_disconnectedness(spec, max_depth=args.max_depth)
-    gap_scaling = None
-    skipped = None
+    gap_scaling = skipped = None
     try:
         gap_scaling = {"delta_res": args.delta_res,
                        **_gap_scaling(spec, args.delta_res, res.s)}
     except (TooFewGaps, BudgetExceeded) as exc:
         skipped = f"{type(exc).__name__}: {exc}"
-    write_json(args.out, {
-        "spec_hash": spec.spec_hash,
-        "command": "report",
+    return {
+        "spec_hash": spec.spec_hash, "command": "report",
         "parameters": {"delta_res": args.delta_res, "max_depth": args.max_depth,
                        "tol": args.tol},
         "dimensions": asdict(res),
         "ud": {"kind": verdict.kind, "evidence": verdict.evidence,
-               "depth_used": verdict.depth_used,
-               "diameter_bound": verdict.diameter_bound},
+               "depth_used": verdict.depth_used, "diameter_bound": verdict.diameter_bound},
         "quasisymmetric_to_cantor": verdict.quasisymmetric_to_cantor,
-        "gap_scaling": gap_scaling,
-        "gap_scaling_skipped": skipped,
+        "gap_scaling": gap_scaling, "gap_scaling_skipped": skipped,
         "outputs": [args.out] if args.out else [],
-    })
-    return 0
+    }
+
+
+def _write(out: str | None, result) -> None:
+    """Write text as it is, a (header, rows) table as CSV, a dict as JSON."""
+    if isinstance(result, tuple):
+        header, rows = result
+        result = "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                         + "\n" for row in (header, *rows))
+    elif isinstance(result, dict):
+        result = json.dumps(result, indent=2) + "\n"
+    if out is None:
+        sys.stdout.write(result)
+    else:
+        Path(out).write_text(result, encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,48 +167,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "and uniform-disconnectedness certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to a carpet spec JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.set_defaults(func=func)
+        p.set_defaults(run=run, usage=p)
         return p
 
-    add("validate", _cmd_validate, "check a spec against all constraints")
+    add("validate", None, "check a spec against all constraints")
 
-    p = add("dimension", _cmd_dimension, "solve for s1 and the box dimension")
+    p = add("dimension", _dimension, "solve for s1 and the box dimension")
     p.add_argument("--tol", type=_positive, default=BISECT_TOL)
 
-    p = add("render", _cmd_render, "draw cylinder rectangles as SVG")
+    p = add("render", _render, "draw cylinder rectangles as SVG")
     p.add_argument("--depth", type=_int_from(0), default=None)
     p.add_argument("--delta", type=_unit, default=None)
     p.add_argument("--size", type=_int_from(1), default=512)
 
-    p = add("boxcount", _cmd_boxcount, "covering-number curve as CSV")
+    p = add("boxcount", _boxcount, "covering-number curve as CSV")
     p.add_argument("--delta-max", type=_unit, required=True)
     p.add_argument("--delta-min", type=_unit, required=True)
     p.add_argument("--steps", type=_int_from(2), required=True)
 
-    p = add("gaps", _cmd_gaps, "gap sequence of the delta-approximation")
+    p = add("gaps", _gaps, "gap sequence of the delta-approximation")
     p.add_argument("--delta-res", type=_unit, required=True)
     p.add_argument("--top", type=_int_from(0), default=None)
 
-    p = add("scaling", _cmd_scaling, "fit gap values against k**(-1/s)")
+    p = add("scaling", _scaling, "fit gap values against k**(-1/s)")
     p.add_argument("--delta-res", type=_unit, required=True)
 
-    p = add("fibers", _cmd_fibers, "interval approximation of a fiber set")
+    p = add("fibers", _fibers, "interval approximation of a fiber set")
     p.add_argument("--coding", type=_coding, required=True,
                    help="comma-separated row indices, cycled to --depth")
     p.add_argument("--depth", type=_int_from(1), default=6)
 
-    p = add("check-ud", _cmd_check_ud, "uniform-disconnectedness verdict")
+    p = add("check-ud", _check_ud, "uniform-disconnectedness verdict")
     p.add_argument("--max-depth", type=_int_from(1), default=DEFAULT_MAX_DEPTH)
 
-    p = add("chain", _cmd_chain, "epsilon-chain between two attractor points")
+    p = add("chain", _chain, "epsilon-chain between two attractor points")
     p.add_argument("--epsilon", type=_open_unit, required=True)
     p.add_argument("--depth-pad", type=_int_from(1), default=40)
 
-    p = add("report", _cmd_report, "combined dimensions/UD/gap-scaling JSON")
+    p = add("report", _report, "combined dimensions/UD/gap-scaling JSON")
     p.add_argument("--delta-res", type=_unit, default=1e-3)
     p.add_argument("--max-depth", type=_int_from(1), default=DEFAULT_MAX_DEPTH)
     p.add_argument("--tol", type=_positive, default=BISECT_TOL)
@@ -286,13 +217,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the usage message
+    try:  # argparse prints the usage message itself and exits
+        args = build_parser().parse_args(argv)
+        if args.command == "render" and (args.depth is None) == (args.delta is None):
+            args.usage.error("render needs exactly one of --depth or --delta")
+        if args.command == "boxcount" and not args.delta_min < args.delta_max:
+            args.usage.error("boxcount needs --delta-min < --delta-max")
+    except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "validate":
+            result, code = _validate(args.spec)
+        else:  # the spec is loaded once and must satisfy every constraint
+            spec = load_spec(args.spec)
+            violations = validate(spec)
+            if violations:
+                summary = "; ".join(f"{v.constraint} at {v.where}" for v in violations)
+                raise SchemaError(f"invalid spec {args.spec}: {summary}")
+            result, code = args.run(spec, args), 0
+        _write(args.out, result)
+        return code
     except (CarpetError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Rects, apply_word, enumerate_depth, word_map
+from .carpet import CarpetSpec, Rects, enumerate_depth, word_map
 from .errors import BudgetExceeded, ChainUnavailable, VerificationFailed
 from .gaps import component_labels
 from .structure import y_codings
@@ -141,9 +141,8 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float,
     for k in range(n + 1):
         coding = y_codings(spec, k / n, depth_pad)[0]
         tail = tuple((i, 1) for i in coding)
-        word = t_word + tail
-        points.append(apply_word(spec, word, (0.0, 0.0)))
-        sx, _, sy, _ = word_map(spec, word)
+        sx, tx, sy, ty = word_map(spec, t_word + tail)
+        points.append((tx, ty))  # S_w(0, 0)
         radius = max(radius, math.hypot(sx, sy))
 
     xi, xi_prime = points[0], points[-1]

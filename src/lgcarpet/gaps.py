@@ -248,11 +248,12 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
     run of them makes a whole node one component.  Then the walk goes down
     pairs of tree nodes one level at a time, as in `_boruvka`.  A node pair
     is dropped when its box distance exceeds t, or when both nodes lie inside
-    one component (so coincident rects never make the walk quadratic).  One
-    rect pair of every surviving node pair joins when it is within t, in one
-    `uf.union_pairs` call per level, which empties most later levels.  At the
-    last level the nodes are single rects, so every pair within t is joined
-    there unless an ancestor pair already joined it.
+    one component (so coincident rects never make the walk quadratic).  The
+    first rects of the two nodes of every surviving node pair join when they
+    are within t (the pair `_boruvka` offers), in one `uf.union_pairs` call
+    per level, which empties most later levels.  At the last level the nodes
+    are single rects, so every pair within t is joined there unless an
+    ancestor pair already joined it.
     """
     perm = tree.perm
 
@@ -262,7 +263,7 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
 
     join(perm[:-1], perm[1:])
     a = b = np.zeros(1, dtype=np.int64)
-    for level, (lo, hi, _) in enumerate(tree.levels):
+    for level, (lo, _, _) in enumerate(tree.levels):
         a, b, dist = tree.node_pairs(level, a, b)
         csort = uf.parent[perm]
         cmin, cmax = np.minimum.reduceat(csort, lo), np.maximum.reduceat(csort, lo)
@@ -270,7 +271,7 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
         a, b = a[keep], b[keep]
         if len(a) == 0:
             break
-        join(perm[lo[a]], perm[hi[b] - 1])
+        join(perm[lo[a]], perm[lo[b]])
 
 
 def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:

@@ -1,9 +1,13 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
+import csv
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,8 @@ import pytest
 import lgcarpet as lg
 from lgcarpet.cli import main
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 CD = str(SPECS / "CD.json")
 MCM = str(SPECS / "MCM.json")
 TOUCHING = str(SPECS / "TOUCHING.json")
@@ -157,6 +162,132 @@ class TestCsvCommands:
         code, _, err = run(capsys, ["chain", CD, "--epsilon", "0.5"])
         assert code == 1
         assert "ChainUnavailable" in err
+
+
+def csv_rows(text, *types):
+    """The header and the rows of CSV output, each cell parsed by its type."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return header, [tuple(t(v) for t, v in zip(types, row)) for row in rows]
+
+
+def json_values(value):
+    """A library value as JSON gives it back: tuples become lists."""
+    return json.loads(json.dumps(value))
+
+
+class TestExactOutputs:
+    """Each subcommand writes exactly the library's result (floats round-trip)."""
+
+    def test_gaps(self, capsys):
+        code, out, _ = run(capsys, ["gaps", CD, "--delta-res", "1/243"])
+        assert code == 0
+        seq = lg.gap_sequence_of_carpet(lg.load_spec(CD), 1 / 243)
+        assert csv_rows(out, float, int) == (["value", "multiplicity"], list(seq.entries))
+
+    def test_gaps_top(self, capsys):
+        code, out, _ = run(capsys, ["gaps", MCM, "--delta-res", "1/81", "--top", "3"])
+        assert code == 0
+        seq = lg.gap_sequence_of_carpet(lg.load_spec(MCM), 1 / 81)
+        assert csv_rows(out, float, int)[1] == list(seq.entries[:3])
+
+    def test_boxcount(self, capsys):
+        code, out, _ = run(capsys, ["boxcount", CD, "--delta-max", "1/3",
+                                    "--delta-min", "1/27", "--steps", "4"])
+        assert code == 0
+        curve = lg.n_delta_curve(lg.load_spec(CD), 1 / 3, 1 / 27, 4)
+        assert csv_rows(out, float, int) == (["delta", "count"], list(curve.samples))
+
+    def test_fibers(self, capsys):
+        code, out, _ = run(capsys, ["fibers", MCM, "--coding", "1,2", "--depth", "5"])
+        assert code == 0
+        fiber = lg.fiber_approx(lg.load_spec(MCM), (1, 2, 1, 2, 1))
+        assert csv_rows(out, float, float) == (["left", "right"], list(fiber.intervals))
+
+    def test_chain(self, capsys):
+        code, out, _ = run(capsys, ["chain", MCM, "--epsilon", "0.3", "--depth-pad", "20"])
+        assert code == 0
+        chain = lg.build_epsilon_chain(lg.load_spec(MCM), 0.3, depth_pad=20)
+        rows = [(k, x, y) for k, (x, y) in enumerate(chain.points)]
+        assert csv_rows(out, int, float, float) == (["index", "x", "y"], rows)
+
+    def test_dimension(self, capsys):
+        code, out, _ = run(capsys, ["dimension", MCM, "--tol", "1e-9"])
+        assert code == 0
+        assert json.loads(out) == json_values(asdict(lg.solve_bdim(lg.load_spec(MCM),
+                                                                   tol=1e-9)))
+
+    @pytest.mark.parametrize("path", [CD, MCM, TOUCHING])
+    def test_check_ud(self, capsys, path):
+        code, out, _ = run(capsys, ["check-ud", path, "--max-depth", "5"])
+        assert code == 0
+        verdict = lg.check_uniform_disconnectedness(lg.load_spec(path), max_depth=5)
+        assert json.loads(out) == json_values(asdict(verdict))
+
+    def test_scaling(self, capsys):
+        code, out, _ = run(capsys, ["scaling", CD, "--delta-res", "1/729"])
+        assert code == 0
+        spec = lg.load_spec(CD)
+        s = lg.solve_bdim(spec).s
+        seq = lg.gap_sequence_of_carpet(spec, 1 / 729)
+        fit = lg.scaling_fit(seq, s)
+        assert json.loads(out) == {
+            "slope": fit.slope, "expected_slope": -1.0 / s, "intercept": fit.intercept,
+            "r2": fit.r2, "ratio_band": list(fit.ratio_band),
+            "gap_count": seq.total_multiplicity, "value_error": seq.value_error}
+
+    @pytest.mark.parametrize("selector, kwargs", [
+        (["--depth", "2", "--size", "64"], {"depth": 2, "size": 64}),
+        (["--delta", "1/9"], {"delta": 1 / 9}),
+    ])
+    def test_render(self, capsys, selector, kwargs):
+        code, out, _ = run(capsys, ["render", MCM, *selector])
+        assert code == 0
+        assert out == lg.render_svg(lg.load_spec(MCM), **kwargs)
+
+
+class TestCrossFlagUsage:
+    """The checks spanning two flags are usage errors, made before the spec
+    is read: a missing spec still exits 2, not 1."""
+
+    @pytest.mark.parametrize("flags", [[], ["--depth", "2", "--delta", "0.1"]])
+    def test_render_selector(self, capsys, flags):
+        code, out, err = run(capsys, ["render", "/no/such/spec.json", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: lgcarpet render ")
+        assert "lgcarpet render: error: " in err
+        assert "exactly one" in err
+
+    @pytest.mark.parametrize("dmax, dmin", [("1/27", "1/3"), ("1/9", "1/9")])
+    def test_boxcount_range(self, capsys, dmax, dmin):
+        code, out, err = run(capsys, ["boxcount", "/no/such/spec.json", "--delta-max", dmax,
+                                      "--delta-min", dmin, "--steps", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: lgcarpet boxcount ")
+        assert "lgcarpet boxcount: error: boxcount needs --delta-min < --delta-max" in err
+
+
+def readme_commands():
+    """The `lgcarpet ...` lines of README's "Command line" code block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("lgcarpet ")]
+
+
+def test_readme_lists_every_subcommand():
+    names = {argv[0] for argv in readme_commands()}
+    assert names == {"validate", "dimension", "render", "boxcount", "gaps", "scaling",
+                     "fibers", "check-ud", "chain", "report"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(ROOT / a) if a.startswith("specs/") else a for a in argv]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
 
 
 class TestScaling:
