@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Rects, enumerate_depth, enumerate_stopping
+from .carpet import CarpetSpec, Rects, _max_cylinders, enumerate_depth, enumerate_stopping
 from .errors import BudgetExceeded
 
 # Relative snap applied to coordinate/delta before flooring, so that edges
@@ -46,12 +46,11 @@ class NDeltaCurve:
         return float(np.polyfit(np.log(1.0 / deltas), np.log(counts), 1)[0])
 
 
-def approx_set(spec: CarpetSpec, delta: float,
-               max_cylinders: int | None = None) -> ApproxSet:
+def approx_set(spec: CarpetSpec, delta: float) -> ApproxSet:
     """Rectangles of the delta-stopping cylinders."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    cyls = enumerate_stopping(spec, delta, max_cylinders=max_cylinders)
+    cyls = enumerate_stopping(spec, delta)
     return ApproxSet(delta, cyls.rects, spec.spec_hash)
 
 
@@ -106,10 +105,9 @@ def count_grid_cells(rects, delta: float) -> int:
     return int(total > 0) + int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1])))
 
 
-def box_count(spec: CarpetSpec, delta: float,
-              max_cylinders: int | None = None) -> int:
+def box_count(spec: CarpetSpec, delta: float) -> int:
     """Occupied delta-grid cells of the delta-stopping approximation."""
-    return count_grid_cells(approx_set(spec, delta, max_cylinders).rects, delta)
+    return count_grid_cells(approx_set(spec, delta).rects, delta)
 
 
 def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,
@@ -120,6 +118,9 @@ def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,
             f"need 0 < delta_min < delta_max <= 1, got {delta_min}, {delta_max}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    cap = _max_cylinders()
+    if steps > cap:
+        raise BudgetExceeded(f"box-count curve: {steps} steps exceeds cap {cap}")
     deltas = np.geomspace(delta_max, delta_min, steps)
     return NDeltaCurve(tuple((float(d), box_count(spec, float(d))) for d in deltas))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, EmptyAttractor, InvalidDigit, InvalidSetting, SchemaError
 
-# Hard cap on enumerated cylinders; LG_MAX_CYLINDERS overrides at runtime.
+# The one budget of every call unless LG_MAX_CYLINDERS sets another; README lists what it counts.
 DEFAULT_MAX_CYLINDERS = 10_000_000
 
 # One digit is a (row, cell) pair, both 1-based; a word is a digit sequence.
@@ -266,8 +266,11 @@ def parse_spec(text: str) -> CarpetSpec:
 
 
 def load_spec(path: str | os.PathLike) -> CarpetSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_spec(fh.read())
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"unreadable spec {path}: {exc}") from exc
 
 
 def spec_to_dict(spec: CarpetSpec) -> dict:
@@ -348,17 +351,15 @@ def apply_word(spec: CarpetSpec, word: Iterable[Digit], target):
     return (sx * x + tx, sy * y + ty)
 
 
-def _max_cylinders(override: int | None) -> int:
-    """The override, else LG_MAX_CYLINDERS (an integer >= 1), else the default."""
-    if override is not None:
-        return override
+def _max_cylinders() -> int:
+    """LG_MAX_CYLINDERS (an integer >= 1), else the default."""
     text = os.environ.get("LG_MAX_CYLINDERS", str(DEFAULT_MAX_CYLINDERS))
     if not (text.isdecimal() and int(text) >= 1):
         raise InvalidSetting(f"LG_MAX_CYLINDERS must be an integer >= 1, got {text!r}")
     return int(text)
 
 
-def _walk(scale: np.ndarray, offset: np.ndarray, cap: int, what: str,
+def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
           delta: float | None = None, depth: int | None = None):
     """Breadth-first walk of the word tree of one digit table.
 
@@ -373,6 +374,7 @@ def _walk(scale: np.ndarray, offset: np.ndarray, cap: int, what: str,
     dtype that holds them, and their s, t columns.
     """
     axes, g = scale.shape
+    cap = _max_cylinders()
     words = np.zeros((1, 0), dtype=np.min_scalar_type(-g))
     s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
     for level in itertools.count():
@@ -390,26 +392,24 @@ def _walk(scale: np.ndarray, offset: np.ndarray, cap: int, what: str,
         s = np.where(live, s[:, parent] * scale[:, digit], s[:, parent])
 
 
-def _cylinders(spec: CarpetSpec, cap: int | None, what: str, **stop) -> Cylinders:
+def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
     if not spec.digits:
         raise EmptyAttractor("every row is empty")
     cells, rows = [spec.cell(i, j) for i, j in spec.digits], [i - 1 for i, _ in spec.digits]
     scale = np.array([[c.a for c in cells], [spec.rows[i].b for i in rows]])
     offset = np.array([[c.c for c in cells], [spec.d[i] for i in rows]])
-    words, s, t = _walk(scale, offset, _max_cylinders(cap), what, **stop)
+    words, s, t = _walk(scale, offset, what, **stop)
     return Cylinders(spec.digits, words, Rects(t[0], t[1], s[0], s[1]))
 
 
-def enumerate_depth(spec: CarpetSpec, depth: int,
-                    max_cylinders: int | None = None) -> Cylinders:
+def enumerate_depth(spec: CarpetSpec, depth: int) -> Cylinders:
     """All cylinders of exactly `depth` digits, in lexicographic word order."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return _cylinders(spec, max_cylinders, f"depth {depth}", depth=depth)
+    return _cylinders(spec, f"depth {depth}", depth=depth)
 
 
-def enumerate_stopping(spec: CarpetSpec, delta: float,
-                       max_cylinders: int | None = None) -> Cylinders:
+def enumerate_stopping(spec: CarpetSpec, delta: float) -> Cylinders:
     """Shortest-word cylinders whose height product just drops to <= delta.
 
     A word stops when its b-product is <= delta while its parent's is > delta,
@@ -418,4 +418,4 @@ def enumerate_stopping(spec: CarpetSpec, delta: float,
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return _cylinders(spec, max_cylinders, f"stopping set at delta={delta}", delta=delta)
+    return _cylinders(spec, f"stopping set at delta={delta}", delta=delta)

@@ -13,9 +13,9 @@ Exit codes: 0 success (Undetermined verdicts are success); 1 domain errors,
 with one `error: <type>: <message>` line on stderr; 2 usage errors, the
 cross-flag ones included, with the subcommand's usage line and then
 `lgcarpet <subcommand>: error: <message>` on stderr, before any spec is read.
-LG_MAX_CYLINDERS overrides the cylinder enumeration cap; it must be an
-integer >= 1.  Reports never embed wall-clock timings, so two runs on the
-same input produce byte-identical files.
+LG_MAX_CYLINDERS, an integer >= 1, is the one budget of the library and of
+every subcommand, the fibers --depth included.  Reports never embed wall-clock
+timings, so two runs on the same input produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .approx import n_delta_curve, render_svg
-from .carpet import CarpetSpec, load_spec, validate
+from .carpet import CarpetSpec, _max_cylinders, load_spec, validate
 from .dimension import BISECT_TOL, solve_bdim
 from .disconnect import DEFAULT_MAX_DEPTH, build_epsilon_chain, check_uniform_disconnectedness
 from .errors import BudgetExceeded, CarpetError, SchemaError, TooFewGaps
@@ -111,6 +111,9 @@ def _scaling(spec: CarpetSpec, args) -> dict:
 
 
 def _fibers(spec: CarpetSpec, args) -> tuple:
+    cap = _max_cylinders()  # the cycled coding is built here, before the library sees it
+    if args.depth > cap:
+        raise BudgetExceeded(f"fibers: depth {args.depth} exceeds cap {cap}")
     coding = tuple(args.coding[k % len(args.coding)] for k in range(args.depth))
     return ["left", "right"], fiber_approx(spec, coding).intervals
 

@@ -35,8 +35,7 @@ class DimensionResult:
 
 
 def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
-                      tol: float = BISECT_TOL,
-                      max_iter: int = BISECT_MAX_ITER) -> tuple[float, int]:
+                      tol: float = BISECT_TOL) -> tuple[float, int]:
     """Root of a decreasing f with f(lo) >= 0 >= f(hi), to bracket width tol.
 
     Returns (root, iterations).
@@ -45,7 +44,7 @@ def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
     if flo < 0.0 or fhi > 0.0:
         raise NoConvergence(
             f"bracket [{lo}, {hi}] does not straddle the root: f={flo}, {fhi}")
-    for step in range(max_iter):
+    for step in range(BISECT_MAX_ITER):
         if hi - lo <= tol:
             return 0.5 * (lo + hi), step
         mid = 0.5 * (lo + hi)
@@ -53,7 +52,7 @@ def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-    raise NoConvergence(f"no convergence after {max_iter} bisection steps")
+    raise NoConvergence(f"no convergence after {BISECT_MAX_ITER} bisection steps")
 
 
 def solve_s1(spec: CarpetSpec, tol: float = BISECT_TOL) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Rects, enumerate_depth, word_map
+from .carpet import CarpetSpec, Rects, _max_cylinders, enumerate_depth, word_map
 from .errors import BudgetExceeded, ChainUnavailable, VerificationFailed
 from .gaps import component_labels
 from .structure import y_codings
@@ -66,15 +66,14 @@ def _touching_diameter(rects: Rects, labels: np.ndarray) -> float:
 
 
 def certify_totally_disconnected(spec: CarpetSpec,
-                                 max_depth: int = DEFAULT_MAX_DEPTH,
-                                 max_cylinders: int | None = None) -> TDCertificate:
+                                 max_depth: int = DEFAULT_MAX_DEPTH) -> TDCertificate:
     """Depth sweep looking for a level with pairwise-separated cylinders."""
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     bounds: list[float] = []
     for depth in range(1, max_depth + 1):
         try:
-            rects = enumerate_depth(spec, depth, max_cylinders).rects
+            rects = enumerate_depth(spec, depth).rects
         except BudgetExceeded:
             if not bounds:
                 return TDCertificate("undetermined", 0, math.sqrt(2.0), ())
@@ -126,6 +125,9 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float,
             f"rows {empties} are empty; no chain exists (the attractor may be UD)")
 
     n = math.ceil(2.0 / epsilon0) + 1
+    cap = _max_cylinders()
+    if n + 1 > cap:
+        raise BudgetExceeded(f"epsilon chain: {n + 1} points exceeds cap {cap}")
     ratios = [spec.row_max_width[i] / row.b for i, row in enumerate(spec.rows)]
     best_row = 1 + max(range(spec.m), key=lambda i: ratios[i])
     ratio = ratios[best_row - 1]

@@ -22,7 +22,7 @@ class InvalidSetting(CarpetError):
 
 
 class BudgetExceeded(CarpetError):
-    """Cylinder enumeration would produce more pieces than the configured cap."""
+    """A call would build more pieces than the LG_MAX_CYLINDERS budget allows."""
 
 
 class NoConvergence(CarpetError):

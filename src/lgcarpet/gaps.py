@@ -407,16 +407,16 @@ def gap_sequence_mst(rects, floor: float = 0.0) -> GapSequence:
     return GapSequence(entries=tuple((v, m) for v, m in entries if v >= floor))
 
 
-def gap_sequence_bruteforce(rects, cap: int = ORACLE_CAP) -> GapSequence:
+def gap_sequence_bruteforce(rects) -> GapSequence:
     """Oracle route: sweep every distinct pairwise distance with a union-find.
 
     Counts components before and after each threshold; the count drops are the
-    multiplicities.  Quadratic, refuses inputs larger than `cap`.
+    multiplicities.  Quadratic, refuses more than the constant ORACLE_CAP rects.
     """
     if not rects:
         raise EmptyInput("no rects")
-    if len(rects) > cap:
-        raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {cap}")
+    if len(rects) > ORACLE_CAP:
+        raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {ORACLE_CAP}")
     cols = Rects.of(rects)
     if len(cols) == 1:
         return GapSequence(entries=())
@@ -441,8 +441,7 @@ def gap_sequence_bruteforce(rects, cap: int = ORACLE_CAP) -> GapSequence:
     return GapSequence(entries=_aggregate(weights))
 
 
-def gap_sequence_of_carpet(spec: CarpetSpec, delta_res: float,
-                           max_cylinders: int | None = None) -> GapSequence:
+def gap_sequence_of_carpet(spec: CarpetSpec, delta_res: float) -> GapSequence:
     """Gap sequence of the delta_res approximation, truncated to stable entries.
 
     Entries below SIGMA_STABILITY * delta_res are dropped, and the MST does
@@ -450,7 +449,7 @@ def gap_sequence_of_carpet(spec: CarpetSpec, delta_res: float,
     (refining can move each side by at most 2 * delta_res, recorded in
     value_error).
     """
-    rects = approx_set(spec, delta_res, max_cylinders=max_cylinders).rects
+    rects = approx_set(spec, delta_res).rects
     seq = gap_sequence_mst(rects, floor=SIGMA_STABILITY * delta_res)
     return GapSequence(entries=seq.entries, value_error=2.0 * delta_res)
 

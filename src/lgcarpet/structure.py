@@ -120,13 +120,14 @@ def _merge(lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> IntervalSet:
     return IntervalSet._of(lo[start], top[last])
 
 
-def _ifs_cover(steps, cap: int, what: str) -> IntervalSet:
+def _ifs_cover(steps, what: str) -> IntervalSet:
     """[0, 1] through one IFS step per (scale, offset) map list of `steps`.
 
     A step is the merged union of offset[g] + scale[g] * I over the maps g and
     the intervals I of the cover so far.  The one budget rule: a step of more
-    than `cap` image intervals is refused before it is built.
+    than `_max_cylinders()` image intervals is refused before it is built.
     """
+    cap = _max_cylinders()
     cover = IntervalSet(((0.0, 1.0),))
     for scale, offset in steps:
         if len(cover) * len(scale) > cap:
@@ -183,15 +184,14 @@ def project_F(spec: CarpetSpec) -> ProjectionIFS:
     )
 
 
-def projection_approx(spec: CarpetSpec, depth: int,
-                      max_intervals: int | None = None) -> IntervalSet:
+def projection_approx(spec: CarpetSpec, depth: int) -> IntervalSet:
     """Depth-k interval cover of the projection: the union of the images of
     [0, 1] under all row words of length k, one IFS step per digit."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     proj = project_F(spec)
     maps = np.array(proj.ratios), np.array(proj.offsets)
-    return _ifs_cover([maps] * depth, _max_cylinders(max_intervals), f"projection at depth {depth}")
+    return _ifs_cover([maps] * depth, f"projection at depth {depth}")
 
 
 def _projection_bounds(spec: CarpetSpec, depth: int) -> np.ndarray:
@@ -256,8 +256,7 @@ def _check_coding(spec: CarpetSpec, coding: Coding) -> None:
             raise InvalidCoding(f"row {i} has no cells, fiber undefined")
 
 
-def fiber_approx(spec: CarpetSpec, coding: Coding,
-                 max_intervals: int | None = None) -> IntervalSet:
+def fiber_approx(spec: CarpetSpec, coding: Coding) -> IntervalSet:
     """Union over all column choices of the coding's x-cylinders, merged.
 
     This is the depth-len(coding) interval cover of the fiber over any y
@@ -268,8 +267,7 @@ def fiber_approx(spec: CarpetSpec, coding: Coding,
     _check_coding(spec, coding)
     maps = {i: (np.array([c.a for c in spec.rows[i - 1].cells]),
                 np.array([c.c for c in spec.rows[i - 1].cells])) for i in set(coding)}
-    return _ifs_cover([maps[i] for i in reversed(coding)], _max_cylinders(max_intervals),
-                      f"fiber at depth {len(coding)}")
+    return _ifs_cover([maps[i] for i in reversed(coding)], f"fiber at depth {len(coding)}")
 
 
 @dataclass(frozen=True)
@@ -431,7 +429,7 @@ def find_gap_interval(spec: CarpetSpec, coding: Coding,
     return (j_lo, j_hi)
 
 
-def _row_words(spec: CarpetSpec, delta: float, max_words: int | None):
+def _row_words(spec: CarpetSpec, delta: float):
     """Stopping row-words in lexicographic order, with s and t of y -> s*y + t."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -440,16 +438,14 @@ def _row_words(spec: CarpetSpec, delta: float, max_words: int | None):
         raise EmptyAttractor("every row is empty")
     scale = np.array([[spec.rows[i - 1].b for i in rows]])
     offset = np.array([[spec.d[i - 1] for i in rows]])
-    words, s, t = _walk(scale, offset, _max_cylinders(max_words),
-                        f"row stopping set at delta={delta}", delta=delta)
+    words, s, t = _walk(scale, offset, f"row stopping set at delta={delta}", delta=delta)
     coded = [tuple(rows[g] for g in word if g >= 0) for word in words.tolist()]
     return coded, s[0], t[0]
 
 
-def row_stopping_words(spec: CarpetSpec, delta: float,
-                       max_words: int | None = None) -> list[Coding]:
+def row_stopping_words(spec: CarpetSpec, delta: float) -> list[Coding]:
     """Row words over nonempty rows whose height product first drops <= delta."""
-    return _row_words(spec, delta, max_words)[0]
+    return _row_words(spec, delta)[0]
 
 
 @dataclass(frozen=True)
@@ -465,8 +461,7 @@ class DeltaClasses:
         return max(len(cls) for cls in self.classes)
 
 
-def idelta_classes(spec: CarpetSpec, delta: float,
-                   max_words: int | None = None) -> DeltaClasses:
+def idelta_classes(spec: CarpetSpec, delta: float) -> DeltaClasses:
     """Join stopping row-words whose projection blocks sit within delta.
 
     Word k's block is the image of the projection cover, refined two decades
@@ -482,7 +477,7 @@ def idelta_classes(spec: CarpetSpec, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     proj = project_F(spec)
-    words, scales, offsets = _row_words(spec, delta, max_words)
+    words, scales, offsets = _row_words(spec, delta)
     b_max = max(proj.ratios)
     depth = max(1, math.ceil(math.log(delta / 100.0) / math.log(b_max)))
 

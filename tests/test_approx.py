@@ -125,9 +125,10 @@ class TestBoxCount:
         counts = [lg.box_count(mcm, 2.0 ** -k) for k in range(1, 7)]
         assert counts == sorted(counts)
 
-    def test_budget(self, cd):
+    def test_budget(self, cd, monkeypatch):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded):
-            lg.box_count(cd, 1e-9, max_cylinders=100)
+            lg.box_count(cd, 1e-9)
 
 
 class TestApproxSet:
@@ -157,6 +158,13 @@ class TestCurve:
         curve = lg.n_delta_curve(cd, 3.0 ** -2, 3.0 ** -6, 5)
         s = lg.solve_bdim(cd).s
         assert curve.slope == pytest.approx(s, rel=0.05)
+
+    def test_steps_budget(self, cd, monkeypatch):
+        # the finest sample, 1/27, has 64 stopping cylinders
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "64")
+        assert len(lg.n_delta_curve(cd, 1 / 3, 1 / 27, 64).samples) == 64
+        with pytest.raises(BudgetExceeded, match="65 steps exceeds cap 64$"):
+            lg.n_delta_curve(cd, 1 / 3, 1 / 27, 65)
 
 
 class TestRenderSvg:

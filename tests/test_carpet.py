@@ -252,11 +252,12 @@ class TestEnumeration:
         assert len(cyls) == 27
         assert all(c.b_prod == 0.125 and len(c.word) == 3 for c in cyls)
 
-    def test_budget_param(self, mcm):
+    def test_budget_param(self, mcm, monkeypatch):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded):
-            lg.enumerate_depth(mcm, 6, max_cylinders=100)
+            lg.enumerate_depth(mcm, 6)
         with pytest.raises(BudgetExceeded):
-            lg.enumerate_stopping(mcm, 1e-6, max_cylinders=100)
+            lg.enumerate_stopping(mcm, 1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(walk_specs, st.floats(0.08, 1.5))
@@ -275,21 +276,27 @@ class TestEnumeration:
         want = reference_cylinders(spec, lambda word, h: len(word) == depth)
         assert list(lg.enumerate_depth(spec, depth)) == want
 
-    def test_budget_is_exact(self, mcm, mixed):
+    def test_budget_is_exact(self, mcm, mixed, monkeypatch):
         for spec, delta in ((mcm, 0.2), (mixed, 0.01)):
+            monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
             count = len(lg.enumerate_stopping(spec, delta))
-            assert len(lg.enumerate_stopping(spec, delta, max_cylinders=count)) == count
+            monkeypatch.setenv("LG_MAX_CYLINDERS", str(count))
+            assert len(lg.enumerate_stopping(spec, delta)) == count
+            monkeypatch.setenv("LG_MAX_CYLINDERS", str(count - 1))
             with pytest.raises(BudgetExceeded):
-                lg.enumerate_stopping(spec, delta, max_cylinders=count - 1)
-        assert len(lg.enumerate_depth(mcm, 4, max_cylinders=81)) == 81
+                lg.enumerate_stopping(spec, delta)
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "81")
+        assert len(lg.enumerate_depth(mcm, 4)) == 81
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "80")
         with pytest.raises(BudgetExceeded):
-            lg.enumerate_depth(mcm, 4, max_cylinders=80)
+            lg.enumerate_depth(mcm, 4)
 
-    def test_budget_refused_at_overflowing_level(self, mcm):
+    def test_budget_refused_at_overflowing_level(self, mcm, monkeypatch):
         # 3**5 live words at length 5 already exceed the cap; the set itself
         # would have 3**997 words
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded, match="by length 5$"):
-            lg.enumerate_stopping(mcm, 1e-300, max_cylinders=100)
+            lg.enumerate_stopping(mcm, 1e-300)
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
     def test_bad_delta(self, mcm, delta):

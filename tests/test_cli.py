@@ -71,6 +71,23 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
+    @pytest.mark.parametrize("content", [
+        b'{"rows": [\xff]}',  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested deeper than the JSON decoder recurses
+    ], ids=["not-utf8", "too-deep"])
+    def test_unreadable_spec(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, _ = run(capsys, ["validate", str(bad)])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        assert payload["violations"][0]["constraint"] == "schema"
+        code, out, err = run(capsys, ["dimension", str(bad)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SchemaError: unreadable spec")
+        assert err.count("\n") == 1
+
 
 class TestDimension:
     def test_matches_library(self, capsys, cd):
@@ -379,6 +396,26 @@ class TestBudgetAndUsage:
         assert out == ""
         assert err.startswith("error: InvalidSetting: LG_MAX_CYLINDERS")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["boxcount", CD, "--delta-max", "0.5", "--delta-min", "1e-3", "--steps", "1000000000"],
+        ["fibers", MCM, "--coding", "1", "--depth", "1000000000"],
+        ["chain", MCM, "--epsilon", "1e-9"],
+    ])
+    def test_count_over_cap_fails_closed(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: BudgetExceeded: ")
+        assert err.count("\n") == 1
+
+    def test_check_ud_chain_under_cap(self, capsys, monkeypatch):
+        # with no empty row, check-ud builds a 22-point chain
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "22")
+        assert run(capsys, ["check-ud", MCM])[0] == 0
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "21")
+        code, _, err = run(capsys, ["check-ud", MCM])
+        assert code == 1
+        assert err.startswith("error: BudgetExceeded: epsilon chain: 22 points")
 
     def test_no_command(self, capsys):
         code, _, _ = run(capsys, [])

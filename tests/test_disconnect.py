@@ -11,7 +11,7 @@ import lgcarpet as lg
 from lgcarpet import synth
 from lgcarpet.carpet import CarpetSpec, Rect, Rects, RowSpec
 from lgcarpet.disconnect import _touching_diameter
-from lgcarpet.errors import ChainUnavailable, EmptyAttractor
+from lgcarpet.errors import BudgetExceeded, ChainUnavailable, EmptyAttractor
 
 
 def all_empty_spec():
@@ -59,6 +59,18 @@ class TestSeparationCertificate:
         with pytest.raises(ValueError):
             lg.certify_totally_disconnected(cd, max_depth=0)
 
+    @pytest.mark.parametrize("cap, want", [
+        # depth 1 (two cylinders) is already over the cap
+        ("1", lg.TDCertificate("undetermined", 0, math.sqrt(2.0), ())),
+        # depth 1 fits, depth 2 (four cylinders) does not
+        ("2", lg.TDCertificate("diameter_bound", 1, 0.7071067811865476,
+                               (0.7071067811865476,))),
+    ])
+    def test_budget_ends_the_sweep(self, touching, monkeypatch, cap, want):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", cap)
+        assert lg.certify_totally_disconnected(touching) == want
+        assert lg.check_uniform_disconnectedness(touching).kind == "Undetermined"
+
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.builds(Rect, *[st.floats(0.0, 1.0)] * 4), st.integers(0, 5)),
                     min_size=1, max_size=40))
@@ -92,6 +104,14 @@ class TestEpsilonChain:
         # the word T really compresses width below eps0/2 relative to height
         ratio = max(max(c.a for c in row.cells) / row.b for row in mcm.rows)
         assert ratio ** ch.ell <= eps0 / 2.0
+
+    def test_points_budget(self, mcm, monkeypatch):
+        # epsilon0 = 0.1 gives n = 21, so 22 points
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "22")
+        assert len(lg.build_epsilon_chain(mcm, 0.1).points) == 22
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "21")
+        with pytest.raises(BudgetExceeded, match="22 points exceeds cap 21$"):
+            lg.build_epsilon_chain(mcm, 0.1)
 
     def test_pinned_shapes(self, mcm):
         ch = lg.build_epsilon_chain(mcm, 0.5)

@@ -17,7 +17,7 @@ import lgcarpet as lg
 from lgcarpet import GapSequence, Rect, synth
 from lgcarpet.errors import EmptyInput, OracleCapExceeded, TooFewGaps
 from lgcarpet.carpet import Rects
-from lgcarpet.gaps import SIGMA_STABILITY, TIE_REL, _Tree, _UnionFind
+from lgcarpet.gaps import ORACLE_CAP, SIGMA_STABILITY, TIE_REL, _Tree, _UnionFind
 
 coord = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 extent = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
@@ -249,9 +249,9 @@ class TestMSTAgainstOracles:
         assert lg.gap_sequence_mst(rects, floor=floor).entries == at_least(full, floor)
 
     def test_oracle_cap(self):
-        rects = synth.random_rects(11, seed=0)
+        rects = synth.random_rects(ORACLE_CAP + 1, seed=0)
         with pytest.raises(OracleCapExceeded):
-            lg.gap_sequence_bruteforce(rects, cap=10)
+            lg.gap_sequence_bruteforce(rects)
 
 
 class TestBadRects:

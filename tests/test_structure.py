@@ -172,11 +172,13 @@ class TestProjection:
         with pytest.raises(ValueError, match="depth must be >= 0"):
             lg.projection_approx(cd, -1)
 
-    def test_budget(self, cd):
+    def test_budget(self, cd, monkeypatch):
         # 16 intervals at depth 4, each with two images at depth 5
-        assert len(lg.projection_approx(cd, 5, max_intervals=32)) == 32
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "32")
+        assert len(lg.projection_approx(cd, 5)) == 32
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "31")
         with pytest.raises(BudgetExceeded, match="16 intervals x 2 maps exceeds cap 31$"):
-            lg.projection_approx(cd, 5, max_intervals=31)
+            lg.projection_approx(cd, 5)
 
 
 class TestYCodings:
@@ -238,17 +240,20 @@ class TestFibers:
             with pytest.raises(InvalidCoding):
                 lg.fiber_approx(cd, bad)
 
-    def test_budget(self, cd):
+    def test_budget(self, cd, monkeypatch):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded):
-            lg.fiber_approx(cd, (1,) * 10, max_intervals=100)
+            lg.fiber_approx(cd, (1,) * 10)
 
-    def test_budget_refuses_first_step_over_cap(self, cd):
+    def test_budget_refuses_first_step_over_cap(self, cd, monkeypatch):
         # CD rows have two separated cells: step k builds 2**k intervals
-        assert len(lg.fiber_approx(cd, (1, 3) * 3, max_intervals=64)) == 64
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "64")
+        assert len(lg.fiber_approx(cd, (1, 3) * 3)) == 64
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "63")
         with pytest.raises(BudgetExceeded, match="32 intervals x 2 maps exceeds cap 63$"):
-            lg.fiber_approx(cd, (1, 3) * 5, max_intervals=63)
+            lg.fiber_approx(cd, (1, 3) * 5)
 
-    def test_budget_counts_merged_intervals(self):
+    def test_budget_counts_merged_intervals(self, monkeypatch):
         # row 1's cells tile [0, 1]: 3**20 column choices, but every step
         # merges its three images back into [0, 1]
         third = 1.0 / 3.0
@@ -257,7 +262,8 @@ class TestFibers:
                              lg.Cell(third, 2 * third))),
             lg.RowSpec(0.5, (lg.Cell(0.25, 0.25),)),
         ))
-        assert lg.fiber_approx(spec, (1,) * 20, max_intervals=3).intervals == ((0.0, 1.0),)
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "3")
+        assert lg.fiber_approx(spec, (1,) * 20).intervals == ((0.0, 1.0),)
 
     @settings(max_examples=80, deadline=None)
     @given(grid_specs, st.data())
@@ -404,9 +410,10 @@ class TestRowStoppingWords:
                     for w in words)
                 assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_budget(self, cd):
+    def test_budget(self, cd, monkeypatch):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "50")
         with pytest.raises(BudgetExceeded):
-            lg.row_stopping_words(cd, 1e-8, max_words=50)
+            lg.row_stopping_words(cd, 1e-8)
 
     @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
     @pytest.mark.parametrize("delta", [1.0, 0.3, 0.05, 0.004])
