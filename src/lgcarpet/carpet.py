@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,6 +208,28 @@ class CarpetSpec:
         return row.cells[j - 1]
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
+def _real(value: str | int | float) -> float:
+    """A number as a float, a string as float(Fraction(value)); inf past the float range.
+
+    Refuses (ValueError, ZeroDivisionError) what Fraction refuses, but raises 10 to
+    an exponent only once it is clamped to where the float stops changing.
+    """
+    if isinstance(value, str):
+        found = _EXPONENT.search(value)
+        # with the exponent's digits zeroed, refused as the text is, read as its mantissa
+        value = Fraction(_EXPONENT.sub(lambda m: re.sub(r"\d", "0", m[0]), value, 1))
+        if found:  # |value| * 10**low < 2**-1075 and |value| * 10**high > 2**1024
+            low, high = -value.numerator.bit_length() - 330, value.denominator.bit_length() + 310
+            value *= Fraction(10) ** min(max(int(found[1]), low), high)
+    try:
+        return float(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        return math.inf
+
+
 def _number(value: object, where: str) -> float:
     """Accept finite JSON numbers and 'p/q' / decimal strings; reject the rest.
 
@@ -216,17 +239,12 @@ def _number(value: object, where: str) -> float:
     """
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, str):
-        try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad numeric string {value!r}") from exc
-    elif not isinstance(value, (int, float)):
+    if not isinstance(value, (str, int, float)):
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
     try:
-        number = float(value)
-    except OverflowError:  # an int or a fraction beyond the float range
-        number = math.inf
+        number = _real(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}: bad numeric string {value!r}") from exc
     if not math.isfinite(number):
         raise SchemaError(f"{where}: expected a finite number, got {number}")
     return number
@@ -261,16 +279,24 @@ def spec_from_dict(obj: object) -> CarpetSpec:
 
 
 def parse_spec(text: str) -> CarpetSpec:
-    """Parse a spec from JSON text.  Malformed JSON raises json.JSONDecodeError."""
-    return spec_from_dict(json.loads(text))
+    """Parse a spec from JSON text.  Malformed JSON raises json.JSONDecodeError, and
+    JSON the decoder cannot read (too deep, too long an integer) SchemaError."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise SchemaError(f"unreadable spec: {exc}") from exc
+    return spec_from_dict(obj)
 
 
 def load_spec(path: str | os.PathLike) -> CarpetSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_spec(fh.read())
-    except (UnicodeDecodeError, RecursionError) as exc:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
         raise SchemaError(f"unreadable spec {path}: {exc}") from exc
+    return parse_spec(text)
 
 
 def spec_to_dict(spec: CarpetSpec) -> dict:

@@ -175,51 +175,31 @@ def check_uniform_disconnectedness(spec: CarpetSpec,
                                    max_depth: int = DEFAULT_MAX_DEPTH) -> UDVerdict:
     """Decide uniform disconnectedness as far as finite certificates allow.
 
-    No empty row: certified not-UD, with an epsilon-chain attached as
-    evidence.  Empty row + separation certificate: certified UD (and then the
-    attractor is quasisymmetrically a Cantor set).  Empty row but touching
-    cylinders at every tried depth: Undetermined, reporting how the diameter
-    bound is trending.
+    One separation sweep runs first and feeds every verdict its depth_used and
+    diameter_bound.  No empty row: certified not-UD, with an epsilon-chain
+    attached as evidence; the verdict keeps the sweep's depth and bound.
+    Empty row + separation certificate: certified UD (and then the attractor
+    is quasisymmetrically a Cantor set).  Empty row but touching cylinders at
+    every tried depth: Undetermined, reporting how the diameter bound is
+    trending.
     """
+    cert = certify_totally_disconnected(spec, max_depth)
     empties = empty_rows(spec)
     if not empties:
         chain = build_epsilon_chain(spec, 0.1)
-        cert = certify_totally_disconnected(spec, max_depth)
-        return UDVerdict(
-            kind="CertifiedNotUD",
-            evidence={
-                "reason": "every row is nonempty; epsilon chains connect points of E",
-                "chain": {"epsilon0": chain.epsilon0, "n": chain.n,
-                          "ell": chain.ell, "points": len(chain.points),
-                          "max_step_ratio": chain.max_step_ratio},
-            },
-            depth_used=cert.depth,
-            diameter_bound=0.0 if cert.status == "certified" else cert.diameter_bound,
-            quasisymmetric_to_cantor=False,
-        )
-
-    cert = certify_totally_disconnected(spec, max_depth)
-    if cert.status == "certified":
-        return UDVerdict(
-            kind="CertifiedUD",
-            evidence={"empty_rows": empties, "td_depth": cert.depth},
-            depth_used=cert.depth,
-            diameter_bound=0.0,
-            quasisymmetric_to_cantor=True,
-        )
-
-    note = "diameter bound still shrinking; separation certificate not reached"
-    if len(cert.bounds_by_depth) >= 3:
-        last, prev2 = cert.bounds_by_depth[-1], cert.bounds_by_depth[-3]
-        if prev2 > 0.0 and last >= 0.9 * prev2:
-            note = ("diameter bound nearly stalled over the last two depths; "
-                    "leaning connected (informational only)")
-    return UDVerdict(
-        kind="Undetermined",
-        evidence={"empty_rows": empties,
-                  "bounds_by_depth": list(cert.bounds_by_depth),
-                  "note": note},
-        depth_used=cert.depth,
-        diameter_bound=cert.diameter_bound,
-        quasisymmetric_to_cantor=False,
-    )
+        kind, evidence = "CertifiedNotUD", {
+            "reason": "every row is nonempty; epsilon chains connect points of E",
+            "chain": {"epsilon0": chain.epsilon0, "n": chain.n, "ell": chain.ell,
+                      "points": len(chain.points), "max_step_ratio": chain.max_step_ratio},
+        }
+    elif cert.status == "certified":
+        kind, evidence = "CertifiedUD", {"empty_rows": empties, "td_depth": cert.depth}
+    else:
+        bounds = list(cert.bounds_by_depth)
+        stalled = len(bounds) >= 3 and bounds[-3] > 0.0 and bounds[-1] >= 0.9 * bounds[-3]
+        note = ("diameter bound nearly stalled over the last two depths; "
+                "leaning connected (informational only)" if stalled else
+                "diameter bound still shrinking; separation certificate not reached")
+        kind, evidence = "Undetermined", {"empty_rows": empties, "bounds_by_depth": bounds,
+                                          "note": note}
+    return UDVerdict(kind, evidence, cert.depth, cert.diameter_bound, kind == "CertifiedUD")

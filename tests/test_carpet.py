@@ -2,14 +2,18 @@
 
 import json
 import math
+import re
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
 from lgcarpet import synth
+from lgcarpet.carpet import _real
 from lgcarpet.errors import BudgetExceeded, InvalidDigit, SchemaError
 
 
@@ -53,6 +57,18 @@ walk_specs = st.one_of(st.integers(0, 2**32 - 1).map(synth.random_grid_spec),
                        uneven_specs())
 
 
+def fraction_float(text):
+    """The float a numeric string names, read exactly; inf past the float range."""
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        return math.inf
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def violations_of(rows):
     return {v.constraint for v in lg.validate(lg.spec_from_dict(rows_dict(rows)))}
 
@@ -91,6 +107,62 @@ class TestParsing:
     def test_parse_spec_bad_json(self):
         with pytest.raises(json.JSONDecodeError):
             lg.parse_spec("{not json")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,  # nested deeper than the JSON decoder recurses
+        '{"rows": [{"b": %s, "cells": []}]}' % ("1" * 5000),  # past int's digit limit
+    ], ids=["too-deep", "big-int"])
+    def test_parse_spec_unreadable_json(self, text):
+        with pytest.raises(SchemaError, match="unreadable spec"):
+            lg.parse_spec(text)
+
+    @pytest.mark.parametrize("value, want", [
+        ("1e-999999999", 0.0), ("-1e-999999999", -0.0), ("1e999999999", math.inf),
+        ("-1E+999999999", math.inf), ("0e999999999", 0.0),
+    ])
+    def test_huge_exponent_is_clamped(self, value, want):
+        start = time.perf_counter()
+        got = _real(value)
+        assert time.perf_counter() - start < 1.0
+        assert same_float(got, want)
+
+    def test_exponent_past_int_digit_limit_refused(self):
+        with pytest.raises(ValueError):  # as Fraction refuses it
+            _real("1e" + "1" * 5000)
+
+    def test_huge_exponent_spec_values(self):
+        text = '{"rows": [{"b": "%s", "cells": []}, {"b": 0.5, "cells": []}]}'
+        start = time.perf_counter()
+        assert lg.parse_spec(text % "1e-999999999").rows[0].b == 0.0
+        with pytest.raises(SchemaError, match="finite"):
+            lg.parse_spec(text % "1e999999999")
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.from_regex(r"\A[-+]?([0-9]{1,30}\.?[0-9]{0,30}|\.[0-9]{1,30})\Z"),
+        st.builds("{}{}{:+d}".format,
+                  st.from_regex(r"\A[-+]?([0-9]{1,20}\.?[0-9]{0,20}|\.[0-9]{1,20})\Z"),
+                  st.sampled_from("eE"), st.integers(-400, 400)),
+        st.builds("{}/{}".format, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    ))
+    def test_numeric_strings_read_as_fraction(self, text):
+        assert same_float(_real(text), fraction_float(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("0123456789.eE+-/_ nafi", max_size=10))
+    @example("nan")
+    @example("-Infinity")
+    @example("1e1_0")
+    def test_refused_as_fraction_refuses(self, text):
+        assume(not re.search(r"[eE][-+]?[0-9_]{4}", text))  # keep 10**exponent cheap
+        try:
+            want = fraction_float(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                _real(text)
+        else:
+            assert same_float(_real(text), want)
 
     def test_load_spec_matches_synth(self, cd):
         loaded = lg.load_spec("specs/CD.json")

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
 CD = str(SPECS / "CD.json")
 MCM = str(SPECS / "MCM.json")
+MIXED = str(SPECS / "MIXED.json")
 TOUCHING = str(SPECS / "TOUCHING.json")
 
 
@@ -74,7 +76,8 @@ class TestValidate:
     @pytest.mark.parametrize("content", [
         b'{"rows": [\xff]}',  # not UTF-8
         b"[" * 100000 + b"]" * 100000,  # nested deeper than the JSON decoder recurses
-    ], ids=["not-utf8", "too-deep"])
+        b'{"rows": [{"b": %s, "cells": []}]}' % (b"1" * 5000),  # past int's digit limit
+    ], ids=["not-utf8", "too-deep", "big-int"])
     def test_unreadable_spec(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -233,7 +236,7 @@ class TestExactOutputs:
         assert json.loads(out) == json_values(asdict(lg.solve_bdim(lg.load_spec(MCM),
                                                                    tol=1e-9)))
 
-    @pytest.mark.parametrize("path", [CD, MCM, TOUCHING])
+    @pytest.mark.parametrize("path", [CD, MCM, MIXED, TOUCHING])
     def test_check_ud(self, capsys, path):
         code, out, _ = run(capsys, ["check-ud", path, "--max-depth", "5"])
         assert code == 0
@@ -440,6 +443,14 @@ class TestBudgetAndUsage:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("value", ["1e-999999999", "1e999999999"])
+    def test_huge_exponent_is_quick_usage_error(self, capsys, value):
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["gaps", CD, "--delta-res", value])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"argument --delta-res: {value!r} is not a number in (0, 1]" in err
 
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         out = tmp_path / "dim.json"

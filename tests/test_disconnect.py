@@ -1,6 +1,8 @@
 """Separation certificates, epsilon chains, and the combined UD verdict."""
 
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,50 @@ from lgcarpet import synth
 from lgcarpet.carpet import CarpetSpec, Rect, Rects, RowSpec
 from lgcarpet.disconnect import _touching_diameter
 from lgcarpet.errors import BudgetExceeded, ChainUnavailable, EmptyAttractor
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# asdict of each spec's verdict at the default max_depth
+PINNED_VERDICTS = {
+    "CD": {"kind": "CertifiedUD", "evidence": {"empty_rows": [2], "td_depth": 1},
+           "depth_used": 1, "diameter_bound": 0.0, "quasisymmetric_to_cantor": True},
+    "MCM": {"kind": "CertifiedNotUD",
+            "evidence": {"reason": "every row is nonempty; epsilon chains connect points of E",
+                         "chain": {"epsilon0": 0.1, "n": 21, "ell": 8, "points": 22,
+                                   "max_step_ratio": 0.048071441147942456}},
+            "depth_used": 8, "diameter_bound": 0.007825869370755485,
+            "quasisymmetric_to_cantor": False},
+    "MIXED": {"kind": "CertifiedUD", "evidence": {"empty_rows": [2], "td_depth": 1},
+              "depth_used": 1, "diameter_bound": 0.0, "quasisymmetric_to_cantor": True},
+    "TOUCHING": {"kind": "Undetermined",
+                 "evidence": {"empty_rows": [2],
+                              "bounds_by_depth": [0.7071067811865476, 0.2795084971874737,
+                                                  0.1288470508005519, 0.06298638865858242,
+                                                  0.031310975667737106, 0.01563262753279504,
+                                                  0.007813453616115849, 0.003906369207470617],
+                              "note": "diameter bound still shrinking; "
+                                      "separation certificate not reached"},
+                 "depth_used": 8, "diameter_bound": 0.003906369207470617,
+                 "quasisymmetric_to_cantor": False},
+}
+
+
+def assert_same_values(got, want):
+    """Types, key order, ints and strings exact; floats to 1e-12 relative."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_values(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_values(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert got == want
 
 
 def all_empty_spec():
@@ -175,6 +221,11 @@ class TestVerdicts:
         assert bounds[0] == pytest.approx(math.hypot(0.5, 0.5))
         assert "note" in v.evidence
         assert v.diameter_bound == bounds[-1]
+
+    @pytest.mark.parametrize("name", list(PINNED_VERDICTS))
+    def test_pinned_verdicts(self, name):
+        verdict = lg.check_uniform_disconnectedness(lg.load_spec(SPECS / f"{name}.json"))
+        assert_same_values(asdict(verdict), PINNED_VERDICTS[name])
 
     def test_empty_attractor_propagates(self):
         with pytest.raises(EmptyAttractor):
