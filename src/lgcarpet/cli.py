@@ -117,7 +117,7 @@ def _check_ud(spec: CarpetSpec, args) -> dict:
 
 
 def _chain(spec: CarpetSpec, args) -> tuple:
-    chain = build_epsilon_chain(spec, args.epsilon, depth_pad=args.depth_pad)
+    chain = build_epsilon_chain(spec, args.epsilon)
     return ["index", "x", "y"], [(k, x, y) for k, (x, y) in enumerate(chain.points)]
 
 
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("chain", _chain, "epsilon-chain between two attractor points")
     p.add_argument("--epsilon", type=_open_unit, required=True)
-    p.add_argument("--depth-pad", type=_int_from(1), default=40)
 
     p = add("report", _report, "combined dimensions/UD/gap-scaling JSON")
     p.add_argument("--delta-res", type=_unit, default=1e-3)
@@ -213,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:  # argparse prints the usage message itself and exits
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.usage.error(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command == "render" and (args.depth is None) == (args.delta is None):
             args.usage.error("render needs exactly one of --depth or --delta")
         if args.command == "boxcount" and not args.delta_min < args.delta_max:

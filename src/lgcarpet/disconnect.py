@@ -106,16 +106,15 @@ class EpsilonChain:
         return self.points[-1]
 
 
-def build_epsilon_chain(spec: CarpetSpec, epsilon0: float,
-                        depth_pad: int = DEFAULT_DEPTH_PAD) -> EpsilonChain:
+def build_epsilon_chain(spec: CarpetSpec, epsilon0: float) -> EpsilonChain:
     """Construct the chain witnessing failure of uniform disconnectedness.
 
     Requires every row nonempty.  Picks n with 1/n < epsilon0/2 and a cylinder
     word T (the max width-to-height row repeated ell times, widest cell) whose
     width-to-height ratio is <= epsilon0/2; the chain points are T-images of
-    points of E at heights k/n.  Each point is computed to depth_pad digits
-    past T, following the lexicographically smallest itinerary of k/n with
-    column digit 1, so it sits within the truncation radius of E.
+    points of E at heights k/n.  Each point is computed to DEFAULT_DEPTH_PAD
+    (40) digits past T, following the lexicographically smallest itinerary of
+    k/n with column digit 1, so it sits within the truncation radius of E.
     """
     if not 0.0 < epsilon0 < 1.0:
         raise ValueError(f"epsilon0 must be in (0, 1), got {epsilon0}")
@@ -141,7 +140,7 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float,
     points = []
     radius = 0.0
     for k in range(n + 1):
-        coding = y_codings(spec, k / n, depth_pad)[0]
+        coding = y_codings(spec, k / n, DEFAULT_DEPTH_PAD)[0]
         tail = tuple((i, 1) for i in coding)
         sx, tx, sy, ty = word_map(spec, t_word + tail)
         points.append((tx, ty))  # S_w(0, 0)

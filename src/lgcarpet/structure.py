@@ -16,7 +16,7 @@ they give the quantities that drive the uniform-disconnectedness analysis:
   * the partition of stopping row-words into delta-connected classes
     (idelta_classes: one ordered merge of block extents, since stopping
     strips have disjoint interiors) and the worst-case cylinder aspect
-    ratio (h_delta).
+    ratio (h_delta), both read off one budgeted walk of the row-words.
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ RESOLUTION_FLOOR = 1e-14
 
 class IntervalSet:
     """Disjoint closed intervals, sorted by left endpoint, as float64 columns
-    `lo` and `hi`; `intervals` is the same as a tuple of Python-float pairs."""
+    `lo` and `hi`; `intervals` is the same as a tuple of Python-float pairs.
+    The constructor is `from_pairs` with tol 0."""
 
     def __init__(self, intervals=()):
-        self.lo, self.hi = np.array(intervals, dtype=float).reshape(-1, 2).T.copy()
+        merged = self.from_pairs(intervals)
+        self.lo, self.hi = merged.lo, merged.hi
 
     @classmethod
     def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
@@ -67,9 +69,14 @@ class IntervalSet:
 
     @classmethod
     def from_pairs(cls, pairs, tol: float = 0.0) -> "IntervalSet":
-        """Sort and merge intervals whose gap is <= tol (0 merges touching)."""
-        cols = cls(list(pairs))
-        return _merge(cols.lo, cols.hi, tol)
+        """Sort and merge intervals whose gap is <= tol (0 merges touching);
+        a pair that is not finite with lo <= hi raises ValueError."""
+        lo, hi = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+        ok = np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"interval {k} needs finite lo <= hi, got ({lo[k]}, {hi[k]})")
+        return _merge(lo, hi, tol)
 
     @cached_property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -213,10 +220,12 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
 
     Membership tests use closed strips widened by a few ulp, so a y on a
     shared strip boundary keeps both itineraries and a point rounded one ulp
-    into a gap is not rejected.  Strips narrower than RESOLUTION_FLOOR cannot
-    be told apart in floats (their computed boundaries carry comparable
-    rounding error), so from there on each branch is extended canonically
-    with the smallest row symbol instead of testing membership.
+    into a gap is not rejected; only a strip thinner than that widening can
+    add a third between two, so the first and last are returned.  Strips
+    narrower than RESOLUTION_FLOOR cannot be told apart in floats (their
+    computed boundaries carry comparable rounding error), so from there on
+    each branch is extended canonically with the smallest row symbol instead
+    of testing membership.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -242,8 +251,8 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
             raise NotInProjection(
                 f"y={y} leaves the projection at refinement level {level + 1}")
         active = nxt
-    assert len(active) <= 2, "strips overlap only at shared boundaries"
-    return [digits for digits, _, _ in active]
+    first, last = active[0][0], active[-1][0]
+    return [first] if first == last else [first, last]
 
 
 def _check_coding(spec: CarpetSpec, coding: Coding) -> None:
@@ -279,10 +288,10 @@ class HdBoundCheck:
     slack: float
 
 
-def check_hd_bound(spec: CarpetSpec, coding1: Coding, coding2: Coding,
-                   depth: int | None = None) -> HdBoundCheck:
+def check_hd_bound(spec: CarpetSpec, coding1: Coding, coding2: Coding) -> HdBoundCheck:
     """Hausdorff distance between two fibers against the shared-prefix bound.
 
+    The depth is the shorter coding's length (pass prefixes for less).
     Fibers restricted to any shared-prefix x-cylinder are both nonempty, so
     their Hausdorff distance is at most the widest such cylinder: the product
     of the per-row maximal widths along the shared prefix.  Finite-depth
@@ -291,10 +300,7 @@ def check_hd_bound(spec: CarpetSpec, coding1: Coding, coding2: Coding,
     c1, c2 = tuple(coding1), tuple(coding2)
     _check_coding(spec, c1)
     _check_coding(spec, c2)
-    if depth is None:
-        depth = min(len(c1), len(c2))
-    if depth < 1 or len(c1) < depth or len(c2) < depth:
-        raise InvalidCoding(f"both codings must have at least depth={depth} digits")
+    depth = min(len(c1), len(c2))
     c1, c2 = c1[:depth], c2[:depth]
     shared = 0
     while shared < depth and c1[shared] == c2[shared]:
@@ -429,16 +435,21 @@ def find_gap_interval(spec: CarpetSpec, coding: Coding,
     return (j_lo, j_hi)
 
 
-def _row_words(spec: CarpetSpec, delta: float):
-    """Stopping row-words in lexicographic order, with s and t of y -> s*y + t."""
+def _row_walk(spec: CarpetSpec, delta: float, *axes):
+    """`_walk` of the stopping row-words over the `project_F` table: a scale
+    axis (offset 0) per entry of `axes`, then the height y -> s*y + t."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    rows = spec.nonempty_rows
-    if not rows:
-        raise EmptyAttractor("every row is empty")
-    scale = np.array([[spec.rows[i - 1].b for i in rows]])
-    offset = np.array([[spec.d[i - 1] for i in rows]])
+    proj = project_F(spec)
+    scale = np.array([*axes, proj.ratios])
+    offset = np.array([*np.zeros_like(axes), proj.offsets])
     words, s, t = _walk(scale, offset, f"row stopping set at delta={delta}", delta=delta)
+    return proj.rows, words, s, t
+
+
+def _row_words(spec: CarpetSpec, delta: float):
+    """Stopping row-words in lexicographic order, with s and t of y -> s*y + t."""
+    rows, words, s, t = _row_walk(spec, delta)
     coded = [tuple(rows[g] for g in word if g >= 0) for word in words.tolist()]
     return coded, s[0], t[0]
 
@@ -493,31 +504,14 @@ def idelta_classes(spec: CarpetSpec, delta: float) -> DeltaClasses:
 
 
 def h_delta(spec: CarpetSpec, delta: float) -> float:
-    """Worst width-to-height ratio over stopping row-words at delta.
+    """Worst width-to-height ratio over the stopping row-words at delta.
 
-    Each stopping word contributes the product of (widest cell / height) over
-    its rows; all factors are < 1, so a branch is pruned as soon as its
-    running product cannot beat the best found.  Tends to 0 as delta does.
+    A word's ratio is the product, in word order, of (widest cell / height)
+    over its rows: one more scale axis of the row-word walk, so the budget
+    refuses exactly the delta that `row_stopping_words` refuses.  Every
+    factor is < 1, so the ratio tends to 0 with delta.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    rows = spec.nonempty_rows
-    if not rows:
-        raise EmptyAttractor("every row is empty")
-    factors = [(spec.rows[i - 1].b, spec.row_max_width[i - 1] / spec.rows[i - 1].b)
-               for i in rows]
-    best = 0.0
-    stack = [(1.0, 1.0)]  # (height product, ratio product)
-    while stack:
-        prod, ratio = stack.pop()
-        if ratio <= best:
-            continue
-        for b, r in factors:
-            child_prod = prod * b
-            child_ratio = ratio * r
-            if child_prod <= delta:
-                if child_ratio > best:
-                    best = child_ratio
-            elif child_ratio > best:
-                stack.append((child_prod, child_ratio))
-    return best
+    widest = [spec.row_max_width[i - 1] / spec.rows[i - 1].b for i in spec.nonempty_rows]
+    return float(_row_walk(spec, delta, widest)[2][0].max())

@@ -15,6 +15,7 @@ import pytest
 
 import lgcarpet as lg
 from lgcarpet.cli import main
+from test_structure import THIN_ROW_SPEC
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -224,9 +225,9 @@ class TestExactOutputs:
         assert csv_rows(out, float, float) == (["left", "right"], list(fiber.intervals))
 
     def test_chain(self, capsys):
-        code, out, _ = run(capsys, ["chain", MCM, "--epsilon", "0.3", "--depth-pad", "20"])
+        code, out, _ = run(capsys, ["chain", MCM, "--epsilon", "0.3"])
         assert code == 0
-        chain = lg.build_epsilon_chain(lg.load_spec(MCM), 0.3, depth_pad=20)
+        chain = lg.build_epsilon_chain(lg.load_spec(MCM), 0.3)
         rows = [(k, x, y) for k, (x, y) in enumerate(chain.points)]
         assert csv_rows(out, int, float, float) == (["index", "x", "y"], rows)
 
@@ -419,6 +420,23 @@ class TestBudgetAndUsage:
         code, _, err = run(capsys, ["check-ud", MCM])
         assert code == 1
         assert err.startswith("error: BudgetExceeded: epsilon chain: 22 points")
+
+    def test_removed_depth_pad_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["chain", MCM, "--epsilon", "0.5", "--depth-pad", "20"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: lgcarpet chain ")
+        assert "lgcarpet chain: error: unrecognized arguments: --depth-pad 20" in err
+
+    def test_chain_on_strip_thinner_than_tolerance(self, capsys, tmp_path):
+        # y_codings meets three strips at y = 1/2; the chain follows the first
+        path = tmp_path / "thin.json"
+        path.write_text(THIN_ROW_SPEC)
+        code, out, err = run(capsys, ["chain", str(path), "--epsilon", "0.4"])
+        assert (code, err) == (0, "")
+        chain = lg.build_epsilon_chain(lg.load_spec(path), 0.4)
+        rows = [(k, x, y) for k, (x, y) in enumerate(chain.points)]
+        assert csv_rows(out, int, float, float) == (["index", "x", "y"], rows)
+        assert len(rows) == 7
 
     def test_no_command(self, capsys):
         code, _, _ = run(capsys, [])

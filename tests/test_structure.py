@@ -23,7 +23,7 @@ from lgcarpet.errors import (
     NotInProjection,
 )
 from lgcarpet.structure import DIST_TIE_REL, _distances, _projection_bounds
-from test_carpet import uneven_specs
+from test_carpet import uneven_specs, walk_specs
 
 pair = st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 0.2, allow_nan=False))
 pairs_strategy = st.lists(pair.map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=10)
@@ -62,6 +62,24 @@ def reference_classes(spec, delta):
     for word in words:
         groups.setdefault(find(word), []).append(word)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+# a valid spec whose middle row is thinner than y_codings' strip tolerance
+THIN_ROW_SPEC = """{"rows": [{"b": "1/2", "cells": [{"a": "1/4", "c": "0"}]},
+          {"b": "1e-16", "cells": [{"a": "5e-17", "c": "0"}]},
+          {"b": 0.49999999999999994, "cells": [{"a": "1/4", "c": "1/2"}]}]}"""
+
+
+def reference_h_delta(spec, delta):
+    """The largest product, in word order, of (widest cell / height) over the
+    rows of a stopping row-word."""
+    best = 0.0
+    for word in lg.row_stopping_words(spec, delta):
+        ratio = 1.0
+        for i in word:
+            ratio *= spec.row_max_width[i - 1] / spec.rows[i - 1].b
+        best = max(best, ratio)
+    return best
 
 
 def assert_same_cover(got, pairs):
@@ -106,6 +124,25 @@ class TestIntervalSet:
         s = IntervalSet.from_pairs([(0.0, 0.5), (0.500001, 1.0)], tol=1e-3)
         assert len(s) == 1
 
+    @given(pairs_strategy, st.randoms(use_true_random=False))
+    def test_constructor_is_from_pairs(self, raw, rnd):
+        shuffled = list(raw)
+        rnd.shuffle(shuffled)
+        assert IntervalSet(shuffled).intervals == IntervalSet.from_pairs(raw).intervals
+
+    def test_constructor_sorts_and_merges(self):
+        s = IntervalSet([(0.6, 1.0), (0.0, 0.1), (0.05, 0.2), (0.2, 0.3)])
+        assert s.intervals == ((0.0, 0.3), (0.6, 1.0))
+        assert s.bounds == (0.0, 1.0)
+
+    @pytest.mark.parametrize("pairs", [[(1.0, 0.0)], [(0.0, math.nan)], [(math.nan, 0.5)],
+                                       [(0.0, 0.1), (0.2, math.inf)], [(-math.inf, 0.0)]])
+    def test_constructor_refuses_bad_pairs(self, pairs):
+        with pytest.raises(ValueError, match="needs finite lo <= hi"):
+            IntervalSet(pairs)
+        with pytest.raises(ValueError, match="needs finite lo <= hi"):
+            IntervalSet.from_pairs(pairs)
+
 
 class TestHausdorff:
     def test_cantor_vs_endpoints(self):
@@ -127,6 +164,11 @@ class TestHausdorff:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             lg.hausdorff_distance(IntervalSet(()), IntervalSet(((0.0, 1.0),)))
+
+    def test_unsorted_pairs_same_set(self):
+        a = IntervalSet([(0.6, 1.0), (0.0, 0.1)])
+        b = IntervalSet([(0.0, 0.1), (0.6, 1.0)])
+        assert lg.hausdorff_distance(a, b) == 0.0
 
     @given(pairs_strategy, pairs_strategy, pairs_strategy)
     def test_triangle_inequality(self, ra, rb, rc):
@@ -193,6 +235,16 @@ class TestYCodings:
         codings = lg.y_codings(cd, 0.1, 5)
         assert len(codings) == 1
         assert codings[0][0] == 1
+
+    def test_strip_thinner_than_tolerance(self, tmp_path):
+        # the middle row is 1e-16 high, so y = 0.5 is within tolerance of all
+        # three strips; the first and last itineraries are kept
+        path = tmp_path / "thin.json"
+        path.write_text(THIN_ROW_SPEC)
+        spec = lg.load_spec(path)
+        assert lg.validate(spec) == []
+        assert lg.y_codings(spec, 0.5, 3) == [(1, 3, 3), (3, 1, 1)]
+        assert lg.y_codings(spec, 0.25, 3) == [(1, 1, 3), (1, 3, 1)]
 
     def test_hole_raises(self, cd):
         with pytest.raises(NotInProjection):
@@ -302,7 +354,7 @@ class TestHdBound:
             lg.check_hd_bound(mcm, (1, 2, 1), (1, 2, 1))
 
     def test_depth_truncation(self, mcm):
-        chk = lg.check_hd_bound(mcm, (1, 2, 1, 1, 1), (1, 1, 2, 2, 2), depth=3)
+        chk = lg.check_hd_bound(mcm, (1, 2, 1), (1, 1, 2))
         assert chk.shared_prefix == 1
         assert chk.bound == pytest.approx(1 / 3)
 
@@ -493,3 +545,28 @@ class TestHDelta:
     def test_domain(self, cd, bad):
         with pytest.raises(ValueError):
             lg.h_delta(cd, bad)
+
+    @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 1 / 3, 1 / 9, 0.1, 0.01, 1e-3])
+    def test_matches_row_word_oracle(self, request, name, delta):
+        spec = request.getfixturevalue(name)
+        assert lg.h_delta(spec, delta) == reference_h_delta(spec, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_specs, st.floats(1e-3, 1.0))
+    def test_random_specs_match_row_word_oracle(self, spec, delta):
+        assert lg.h_delta(spec, delta) == reference_h_delta(spec, delta)
+
+    @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 1e-3, 1e-4])
+    def test_budget_as_row_stopping_words(self, request, monkeypatch, name, delta):
+        spec = request.getfixturevalue(name)
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "1000")
+        try:
+            lg.row_stopping_words(spec, delta)
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded) as refused:
+                lg.h_delta(spec, delta)
+            assert str(refused.value) == str(exc)
+        else:
+            assert lg.h_delta(spec, delta) == reference_h_delta(spec, delta)
