@@ -13,7 +13,8 @@ Cylinders are images of the unit square under finite digit words.
 Cylinder families (all words of one length, or the stopping set of a scale)
 come from one breadth-first walk of the word tree, one numpy broadcast per
 level, as float64 rect columns (`Rects`, the one rect layout the package
-computes on) plus a digit-index matrix, not as one Python object per word.
+computes on), not as one Python object per word; the digit-index matrix of
+the words is assembled from the walk's level columns only when read.
 """
 
 from __future__ import annotations
@@ -124,8 +125,12 @@ class Cylinders(Sequence):
     """Cylinders in lexicographic word order: their `rects`, and digit indices
     of word k in row k of `words`, padded with -1.  Items are `Cylinder`s."""
 
-    def __init__(self, digits: tuple[Digit, ...], words: np.ndarray, rects: Rects):
-        self.digits, self.words, self.rects = digits, words, rects
+    def __init__(self, digits: tuple[Digit, ...], columns: list[np.ndarray], rects: Rects):
+        self.digits, self._columns, self.rects = digits, columns, rects
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        return _word_matrix(self._columns, np.min_scalar_type(-len(self.digits)))
 
     def __len__(self) -> int:
         return len(self.rects)
@@ -396,12 +401,13 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
     lexicographic order; t + s * offset[g] and s * scale[g] are word_map's
     float operations in its order.  Every live word has a stopping descendant,
     so the cap refuses exactly the sets above it, before they are built.
-    Returns the words as digit indices padded with -1, in the smallest signed
-    dtype that holds them, and their s, t columns.
+    Returns the words' digit column of each level, digit indices padded with
+    -1 in the smallest signed dtype that holds them (`_word_matrix` assembles
+    the words from them), and the words' s, t columns.
     """
     axes, g = scale.shape
     cap = _max_cylinders()
-    words = np.zeros((1, 0), dtype=np.min_scalar_type(-g))
+    columns, dtype = [], np.min_scalar_type(-g)
     s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
     for level in itertools.count():
         live &= (level != depth) if depth is not None else (level == 0) | (s[-1] > delta)
@@ -409,13 +415,30 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
         if grow.sum() > cap:
             raise BudgetExceeded(f"{what} exceeds cap {cap} by length {level + 1}")
         if not live.any():
-            return words, s, t
+            return columns, s, t
         parent = np.repeat(np.arange(len(live)), grow)
         digit = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
         live = live[parent]
-        words = np.column_stack([words[parent], np.where(live, digit, -1).astype(words.dtype)])
+        columns.append(np.where(live, digit, -1).astype(dtype))
         t = np.where(live, t[:, parent] + s[:, parent] * offset[:, digit], t[:, parent])
         s = np.where(live, s[:, parent] * scale[:, digit], s[:, parent])
+
+
+def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:
+    """The words of a walk as rows of digit indices, from its level columns.
+
+    Each level's rows are the rows of the level before, a live row replaced
+    by its children with digits 0, 1, ... and a stopped row kept with -1, so
+    a digit <= 0 starts the next parent's run; each word's digits are read
+    back from the last level up.
+    """
+    rows = len(columns[-1]) if columns else 1
+    words = np.empty((rows, len(columns)), dtype=dtype)
+    row = np.arange(rows)
+    for level in reversed(range(len(columns))):
+        words[:, level] = columns[level][row]
+        row = (np.cumsum(columns[level] <= 0) - 1)[row]
+    return words
 
 
 def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
@@ -424,8 +447,8 @@ def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
     cells, rows = [spec.cell(i, j) for i, j in spec.digits], [i - 1 for i, _ in spec.digits]
     scale = np.array([[c.a for c in cells], [spec.rows[i].b for i in rows]])
     offset = np.array([[c.c for c in cells], [spec.d[i] for i in rows]])
-    words, s, t = _walk(scale, offset, what, **stop)
-    return Cylinders(spec.digits, words, Rects(t[0], t[1], s[0], s[1]))
+    columns, s, t = _walk(scale, offset, what, **stop)
+    return Cylinders(spec.digits, columns, Rects(t[0], t[1], s[0], s[1]))
 
 
 def enumerate_depth(spec: CarpetSpec, depth: int) -> Cylinders:

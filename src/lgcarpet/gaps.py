@@ -13,15 +13,20 @@ component finds its nearest rect in another component by walking pairs of
 tree nodes level by level as numpy arrays, and all of a round's picks merge
 in one vectorised union; the picks of a merged group close exactly one
 cycle, whose weights are equal, so one least pick per group is dropped.
-Every surviving node pair offers the pair of its two nodes' first rects,
-which in side-by-side clusters of one shape are matching rects, so the
-per-component bounds that prune the walk tighten well above the leaves.
-Before the rounds, one fixed-radius walk of the same tree joins every rect
-pair within a threshold: just below `floor`, so that the rounds resolve only
-the weights that the entries >= floor depend on.  component_labels is that
-walk alone, at its threshold.  gap_sequence_bruteforce sweeps the full
-distance matrix threshold by threshold with a sequential union-find until
-one component is left.  Tests pin the routes against each other.
+Every walk starts from the node pairs of the tree's middle level, listed
+with their box distances once per tree, so no round crosses the few pairs
+above it again.  Every surviving node pair offers the pair of its two
+nodes' first rects, which in side-by-side clusters of one shape are
+matching rects, so the per-component bounds that prune the walk tighten
+well above the leaves.  Before the rounds, one fixed-radius walk of the
+same tree joins every rect pair within a threshold: just below `floor`, so
+that the rounds resolve only the weights that the entries >= floor depend
+on.  The rounds then run on the quotient by those components, with
+per-component arrays as long as the components, not the rects.
+component_labels is that walk alone, at its threshold.
+gap_sequence_bruteforce sweeps the full distance matrix threshold by
+threshold with a sequential union-find until one component is left.  Tests
+pin the routes against each other.
 """
 
 from __future__ import annotations
@@ -179,6 +184,13 @@ class _Tree:
     plus empty nodes when n is not a power of two.  `levels` lists
     (lo, hi, boxes) per level, `boxes` being the node bounding boxes, each
     the hull of its children's.
+
+    Walks over pairs of nodes start at the middle level `start` = depth // 2,
+    whose 2**start (about sqrt(n)) nodes are all nonempty: `start_pairs`
+    holds every node pair (a, b), a <= b, of that level with the distance
+    between their boxes, about n / 2 pairs computed once per tree.  The
+    levels above it hold few pairs, and a walk that started at the root
+    would cross them again in every Borůvka round.
     """
 
     def __init__(self, cols: Rects):
@@ -219,6 +231,9 @@ class _Tree:
                            np.maximum(boxes.y1[0::2], boxes.y1[1::2]))
             self.levels.append((*self._ranges(n, level), boxes))
         self.levels.reverse()
+        self.start = depth // 2
+        a, b = np.triu_indices(2 ** self.start)
+        self.start_pairs = (a, b, _pair_dist(self.levels[self.start][2], a, b))
 
     @staticmethod
     def _ranges(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +243,18 @@ class _Tree:
 
     def node_pairs(self, level: int, a: np.ndarray, b: np.ndarray):
         """The nonempty node pairs (c, d), c <= d, of `level` below the node
-        pairs (a, b), a <= b, of the level above (at level 0: the root pair
-        itself), with the distances between their boxes.  A self pair has
-        three child pairs, any other pair four."""
+        pairs (a, b), a <= b, of the level above, with the distances between
+        their boxes.  A self pair has three child pairs, any other pair four;
+        only at the last level can a child be empty."""
         lo, hi, boxes = self.levels[level]
-        if level:
-            a, b = (np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1]),
-                    np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1]))
-            keep = (a <= b) & (hi[a] > lo[a]) & (hi[b] > lo[b])
-            a, b = a[keep], b[keep]
-        return a, b, _pair_dist(boxes, a, b)
+        same = a == b
+        s, a, b = 2 * a[same], 2 * a[~same], 2 * b[~same]
+        c = np.concatenate([s, s, s + 1, a, a, a + 1, a + 1])
+        d = np.concatenate([s, s + 1, s + 1, b, b + 1, b, b + 1])
+        if level == len(self.levels) - 1:
+            full = (hi[c] > lo[c]) & (hi[d] > lo[d])
+            c, d = c[full], d[full]
+        return c, d, _pair_dist(boxes, c, d)
 
 
 def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
@@ -246,14 +263,14 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
     Only a spanning forest of the pairs is merged, never the pairs themselves.
     Tree-order neighbours within t join first: they are mostly close, and a
     run of them makes a whole node one component.  Then the walk goes down
-    pairs of tree nodes one level at a time, as in `_boruvka`.  A node pair
-    is dropped when its box distance exceeds t, or when both nodes lie inside
-    one component (so coincident rects never make the walk quadratic).  The
-    first rects of the two nodes of every surviving node pair join when they
-    are within t (the pair `_boruvka` offers), in one `uf.union_pairs` call
-    per level, which empties most later levels.  At the last level the nodes
-    are single rects, so every pair within t is joined there unless an
-    ancestor pair already joined it.
+    pairs of tree nodes one level at a time from the tree's start pairs, as
+    in `_boruvka`.  A node pair is dropped when its box distance exceeds t,
+    or when both nodes lie inside one component (so coincident rects never
+    make the walk quadratic).  The first rects of the two nodes of every
+    surviving node pair join when they are within t (the pair `_boruvka`
+    offers), in one `uf.union_pairs` call per level, which empties most
+    later levels.  At the last level the nodes are single rects, so every
+    pair within t is joined there unless an ancestor pair already joined it.
     """
     perm = tree.perm
 
@@ -262,9 +279,11 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
         uf.union_pairs(i[close], j[close])
 
     join(perm[:-1], perm[1:])
-    a = b = np.zeros(1, dtype=np.int64)
-    for level, (lo, _, _) in enumerate(tree.levels):
-        a, b, dist = tree.node_pairs(level, a, b)
+    a, b, dist = tree.start_pairs
+    for level in range(tree.start, len(tree.levels)):
+        if level > tree.start:
+            a, b, dist = tree.node_pairs(level, a, b)
+        lo = tree.levels[level][0]
         csort = uf.parent[perm]
         cmin, cmax = np.minimum.reduceat(csort, lo), np.maximum.reduceat(csort, lo)
         keep = ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b])) & (dist <= t)
@@ -279,69 +298,81 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
 
     Starts from the components already in `uf` and returns the weights of a
     minimum spanning tree of their quotient graph; they are all positive once
-    `uf` joins every touching pair, as `_join_within` at t >= 0 does.  Each
-    round finds, for every component, one rect pair of least distance to
-    another component, then merges all these picks at once through
-    `uf.union_pairs`.  Any least pair will do.  Every old root has exactly one
-    pick, so a merged group of k roots holds k picks: a tree plus exactly one
-    cycle.  Each pick is the least edge of its component, so going round the
-    cycle the weights never rise: they are all equal, and equal to the
-    group's least weight.  Dropping one least pick of each group leaves the
-    weight multiset of the minimum spanning tree, which is unique.  Rounds
-    stop when one component is left.
+    `uf` joins every touching pair, as `_join_within` at t >= 0 does.  The
+    rounds run on the quotient: its k components are numbered 0..k-1 once,
+    and the per-component arrays and the rounds' own union-find have length
+    k, so a round's bookkeeping scales with the components left, not with
+    the rects; a rect's component is one gather per round.  Each round finds,
+    for every component, one rect pair of least distance to another
+    component, then merges all these picks at once through `union_pairs`.
+    Any least pair will do.  Every old root has exactly one pick, so a merged
+    group of k roots holds k picks: a tree plus exactly one cycle.  Each pick
+    is the least edge of its component, so going round the cycle the weights
+    never rise: they are all equal, and equal to the group's least weight.
+    Dropping one least pick of each group leaves the weight multiset of the
+    minimum spanning tree, which is unique.  Rounds stop when one component
+    is left.
 
-    A round walks pairs of tree nodes one level at a time.  A node pair is
-    dropped when both nodes lie inside the same component, or when their box
-    distance is not below the larger bound of the components in them: no rect
-    pair inside can then beat a bound, so ties are never chased (coincident
-    rects would otherwise make the walk quadratic).  Bounds start from
-    neighbouring rects in tree order, which give every component a finite
-    bound, and tighten with the first rects of the two nodes of every
-    surviving node pair; at the last level these pairs are exact.  Sibling
-    ranges are sorted along one axis, so for translated clusters the two
-    first rects match and realise the box distance high up the tree.  The
-    least and largest component of every node are fixed within a round and
-    are built once, bottom-up from the leaves.  A node of one component
-    reads its bound directly; only while some node holds several does a
-    level take the maximum over the rects of each node, so that it includes
-    the offers of the levels above.
+    A round walks pairs of tree nodes one level at a time from the tree's
+    start pairs.  A node pair is dropped when both nodes lie inside the same
+    component, or when their box distance is not below the larger bound of
+    the components in them: no rect pair inside can then beat a bound, so
+    ties are never chased (coincident rects would otherwise make the walk
+    quadratic).  Bounds start from neighbouring rects in tree order, which
+    give every component a finite bound; the neighbour pairs that cross
+    components are found once, and each round keeps those that still do.
+    Bounds tighten with the first rects of the two nodes of every surviving
+    node pair; at the last level these pairs are exact.  Sibling ranges are
+    sorted along one axis, so for translated clusters the two first rects
+    match and realise the box distance high up the tree.  The least and
+    largest component of every node are fixed within a round and are built
+    once, bottom-up from the leaves.  A node of one component reads its bound
+    directly; only while some node holds several does a level take the
+    maximum over the rects of each node, so that it includes the offers of
+    the levels above.
     """
-    perm, n = tree.perm, len(cols)
+    perm, n, k = tree.perm, len(cols), uf.components
+    number = np.cumsum(uf.parent == np.arange(n)) - 1  # the roots numbered 0..k-1
+    quotient, comp0 = _UnionFind(k), number[uf.parent]
+    near_i, near_j = perm[:-1], perm[1:]
     leaf_lo, leaf_hi = tree.levels[-1][:2]
+    full = leaf_hi > leaf_lo
     weights = [np.empty(0)]
-    while uf.components > 1:
-        comp = uf.parent  # every entry a root: fresh, or left so by union_pairs
-        best = np.full(n, np.inf)  # per component root: least distance found
-        edge = np.full(n, -1, dtype=np.int64)  # its rect pair, as i * n + j
+    while quotient.components > 1:
+        comp = quotient.parent[comp0]  # every entry a root of `quotient`
+        best = np.full(k, np.inf)  # per component root: least distance found
+        edge = np.full(k, -1, dtype=np.int64)  # its component pair, as c * k + c'
 
         def offer(i, j):
-            cross = comp[i] != comp[j]
-            i, j = i[cross], j[cross]
-            c = np.concatenate([comp[i], comp[j]])
-            d, e = _pair_dist(cols, i, j), i * n + j
+            ci, cj = comp[i], comp[j]
+            cross = ci != cj
+            i, j, ci, cj = i[cross], j[cross], ci[cross], cj[cross]
+            c, d, e = np.concatenate([ci, cj]), _pair_dist(cols, i, j), ci * k + cj
             d, e = np.concatenate([d, d]), np.concatenate([e, e])
             np.minimum.at(best, c, d)
             hit = d == best[c]
             edge[c[hit]] = e[hit]
+            return i, j
 
-        offer(perm[:-1], perm[1:])
+        near_i, near_j = offer(near_i, near_j)  # only the crossing pairs stay
         csort = comp[perm]
-        # least and largest component per node; empty leaves get n and -1
-        full = leaf_hi > leaf_lo
-        cmin = np.where(full, csort[leaf_lo], n)
+        # least and largest component per node, from the leaves up to the
+        # start level; empty leaves get k and -1
+        cmin = np.where(full, csort[leaf_lo], k)
         cmax = np.where(full, csort[leaf_lo], -1)
         ranges = [(cmin, cmax)]
-        for _ in tree.levels[1:]:
+        for _ in range(tree.start, len(tree.levels) - 1):
             cmin = np.minimum(cmin[0::2], cmin[1::2])
             cmax = np.maximum(cmax[0::2], cmax[1::2])
             ranges.append((cmin, cmax))
         ranges.reverse()
 
-        a = b = np.zeros(1, dtype=np.int64)
-        for level, (lo, hi, _) in enumerate(tree.levels):
-            a, b, dist = tree.node_pairs(level, a, b)
-            cmin, cmax = ranges[level]
-            bound = best[np.minimum(cmin, n - 1)]  # exact for one-component nodes
+        a, b, dist = tree.start_pairs
+        for level, (cmin, cmax) in enumerate(ranges, start=tree.start):
+            if level > tree.start:
+                a, b, dist = tree.node_pairs(level, a, b)
+            lo = tree.levels[level][0]
+            bound = best[np.minimum(cmin, k - 1)]  # exact for one-component nodes
             multi = cmin < cmax
             if multi.any():
                 bound = np.where(multi, np.maximum.reduceat(best[csort], lo), bound)
@@ -353,10 +384,10 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
                 break
             offer(perm[lo[a]], perm[lo[b]])
 
-        roots = np.flatnonzero(comp == np.arange(n))  # before union_pairs rewrites comp
-        uf.union_pairs(*np.divmod(edge[roots], n))
+        roots = np.flatnonzero(quotient.parent == np.arange(k))  # before the union
+        quotient.union_pairs(*np.divmod(edge[roots], k))
         # drop one least pick per merged group (the new root)
-        group, w = uf.parent[roots], best[roots]
+        group, w = quotient.parent[roots], best[roots]
         order = np.lexsort((w, group))
         group, w = group[order], w[order]
         least = np.r_[True, group[1:] != group[:-1]]
@@ -381,7 +412,8 @@ def component_labels(rects, delta: float) -> np.ndarray:
 
 def n_delta_components(rects, delta: float) -> int:
     """Number of connected components at threshold delta."""
-    return len(np.unique(component_labels(rects, delta)))
+    labels = component_labels(rects, delta)
+    return int(np.count_nonzero(labels == np.arange(len(labels))))
 
 
 def gap_sequence_mst(rects, floor: float = 0.0) -> GapSequence:

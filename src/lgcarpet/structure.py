@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .carpet import CarpetSpec, _max_cylinders, _walk
+from .carpet import CarpetSpec, _max_cylinders, _walk, _word_matrix
 from .errors import (
     BudgetExceeded,
     CodingsNotDiverging,
@@ -443,13 +443,14 @@ def _row_walk(spec: CarpetSpec, delta: float, *axes):
     proj = project_F(spec)
     scale = np.array([*axes, proj.ratios])
     offset = np.array([*np.zeros_like(axes), proj.offsets])
-    words, s, t = _walk(scale, offset, f"row stopping set at delta={delta}", delta=delta)
-    return proj.rows, words, s, t
+    columns, s, t = _walk(scale, offset, f"row stopping set at delta={delta}", delta=delta)
+    return proj.rows, columns, s, t
 
 
 def _row_words(spec: CarpetSpec, delta: float):
     """Stopping row-words in lexicographic order, with s and t of y -> s*y + t."""
-    rows, words, s, t = _row_walk(spec, delta)
+    rows, columns, s, t = _row_walk(spec, delta)
+    words = _word_matrix(columns, np.min_scalar_type(-len(rows)))
     coded = [tuple(rows[g] for g in word if g >= 0) for word in words.tolist()]
     return coded, s[0], t[0]
 

@@ -486,3 +486,21 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def test_report_never_imports_numpy_ma(tmp_path):
+    # importing numpy.ma costs ~15 ms, and a plain np.unique call imports it
+    src = str(Path(lg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    check = ("import sys, numpy; print('numpy.ma' in sys.modules); "
+             "from lgcarpet import cli; cli.main(['report', sys.argv[1], '--out', sys.argv[2]]); "
+             "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", check, CD, str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded_by_numpy, loaded_by_report = proc.stdout.split()
+    if loaded_by_numpy == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert loaded_by_report == "False"
+    assert json.loads((tmp_path / "report.json").read_text())["gap_scaling"]

@@ -5,19 +5,20 @@ union-find oracle and a pure-python Prim on tiny inputs.  Component labels
 are checked against a pure-python union-find over all pairs.
 """
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
 from lgcarpet import GapSequence, Rect, synth
 from lgcarpet.errors import EmptyInput, OracleCapExceeded, TooFewGaps
 from lgcarpet.carpet import Rects
-from lgcarpet.gaps import ORACLE_CAP, SIGMA_STABILITY, TIE_REL, _Tree, _UnionFind
+from lgcarpet.gaps import ORACLE_CAP, SIGMA_STABILITY, TIE_REL, _pair_dist, _Tree, _UnionFind
 
 coord = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 extent = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
@@ -29,6 +30,20 @@ lattice_coord = st.integers(0, 8).map(lambda k: k / 4)
 lattice_extent = st.integers(0, 2).map(lambda k: k / 4)
 lattice_rect = st.builds(Rect, lattice_coord, lattice_coord,
                          lattice_extent, lattice_extent)
+
+# Sizes on both sides of the boundaries where the tree's start level
+# (depth // 2) moves: depths 0 to 7.
+START_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
+@st.composite
+def tied_rects(draw):
+    """A START_SIZES count of lattice rects, some replaced by copies of others."""
+    n = draw(st.sampled_from(START_SIZES))
+    rects = draw(st.lists(lattice_rect, min_size=n, max_size=n))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
+        rects[k] = rects[draw(st.integers(0, n - 1))]
+    return rects
 
 
 def prim_gap_values(rects):
@@ -328,6 +343,50 @@ class TestTree:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100, 333])
     def test_random_rects(self, n):
         self.check(synth.random_rects(n, seed=n))
+
+    @pytest.mark.parametrize("n", START_SIZES + [100, 333])
+    def test_start_pairs_list_every_pair_once(self, n):
+        tree = _Tree(Rects.of(synth.random_rects(n, seed=n)))
+        assert tree.start == (len(tree.levels) - 1) // 2
+        a, b, dist = tree.start_pairs
+        m = 2 ** tree.start
+        assert sorted(zip(a.tolist(), b.tolist())) == \
+            [(p, q) for p in range(m) for q in range(p, m)]
+        assert np.array_equal(dist, _pair_dist(tree.levels[tree.start][2], a, b))
+
+
+class TestStartLevel:
+    """Walks that start at the tree's middle level, and rounds on the quotient,
+    against the oracles at sizes around every start-level boundary."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_rects(), st.data())
+    def test_mst_matches_bruteforce_at_a_floor(self, rects, data):
+        entries = lg.gap_sequence_bruteforce(rects).entries
+        floor = data.draw(st.sampled_from([0.0, *(v for v, _ in entries)]))
+        assert lg.gap_sequence_mst(rects, floor=floor).entries == at_least(entries, floor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_rects(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_labels_match_oracle(self, rects, delta):
+        assert list(lg.component_labels(rects, delta)) == \
+            partition(oracle_labels(rects, delta))
+
+    def test_carpet_pair_dist_calls(self, cd, monkeypatch):
+        # the start pairs' distances come once per tree, and no round walks
+        # the levels above them
+        evaluated = count_pair_dist(monkeypatch)
+        lg.gap_sequence_of_carpet(cd, 1e-3)
+        assert len(evaluated) <= 150
+
+    def test_carpet_sequence_at_scale(self, cd):
+        # 262144 rects, 8192 components after the join, 13 rounds
+        seq = lg.gap_sequence_of_carpet(cd, 1e-4)
+        assert seq.total_multiplicity == 8191
+        assert len(seq.entries) == 13
+        text = "".join(f"{v.hex()} {m}\n" for v, m in seq.entries)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "ea45d3853edb6a6302830ed7c718c78453ee2af3e8dda3ae07dc8c1230a3cd3b"
 
 
 class TestFloor:
