@@ -356,12 +356,16 @@ def validate(spec: CarpetSpec) -> list[Violation]:
     return out
 
 
-def word_map(spec: CarpetSpec, word: Iterable[Digit]) -> tuple[float, float, float, float]:
+def word_map(spec: CarpetSpec, word: Iterable[Digit],
+             start: tuple[float, float, float, float] = (1.0, 0.0, 1.0, 0.0),
+             ) -> tuple[float, float, float, float]:
     """Affine coefficients (sx, tx, sy, ty) of the composed map of `word`.
 
     The composition is leftmost-outermost: word (w1, w2) means S_w1 after S_w2.
+    `start` is the map of a prefix u, so word_map(spec, v, word_map(spec, u))
+    is word_map(spec, u + v) with the same float operations.
     """
-    sx, tx, sy, ty = 1.0, 0.0, 1.0, 0.0
+    sx, tx, sy, ty = start
     for i, j in word:
         cell = spec.cell(i, j)
         row = spec.rows[i - 1]

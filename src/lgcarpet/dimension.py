@@ -89,7 +89,12 @@ def solve_bdim(spec: CarpetSpec, tol: float = BISECT_TOL) -> DimensionResult:
         return sum(w * sum(cell.a ** t for cell in row.cells)
                    for w, row in zip(weights, rows)) - 1.0
 
-    t, iters = bisect_decreasing(g, 0.0, 1.0, tol=tol)
+    if all(len(row.cells) == 1 for row in rows):
+        # g(0) = sum of b_i**s1 - 1 is 0 by the definition of s1, though its
+        # float sum can miss 0 by an ulp and leave no bracket
+        t, iters = 0.0, 0
+    else:
+        t, iters = bisect_decreasing(g, 0.0, 1.0, tol=tol)
     res_s1 = sum(row.b ** s1 for row in rows) - 1.0
     return DimensionResult(s1=s1, s=s1 + t, residual_s1=res_s1,
                            residual_s=g(t), iterations=iters)

@@ -19,6 +19,7 @@ those come back Undetermined with a shrinking diameter bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +116,10 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float) -> EpsilonChain:
     points of E at heights k/n.  Each point is computed to DEFAULT_DEPTH_PAD
     (40) digits past T, following the lexicographically smallest itinerary of
     k/n with column digit 1, so it sits within the truncation radius of E.
+    T's map is composed once and each point continues it through its tail.
+    The n + 1 points and the ell digits of T each count against
+    LG_MAX_CYLINDERS (BudgetExceeded); endpoints that round to one float
+    point raise VerificationFailed.
     """
     if not 0.0 < epsilon0 < 1.0:
         raise ValueError(f"epsilon0 must be in (0, 1), got {epsilon0}")
@@ -132,22 +137,33 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float) -> EpsilonChain:
     ratio = ratios[best_row - 1]
     widths = [c.a for c in spec.rows[best_row - 1].cells]
     best_cell = 1 + widths.index(max(widths))
-    ell = 1
-    while ratio ** ell > epsilon0 / 2.0:
+    # ell is the least length >= 1 with ratio**ell <= epsilon0 / 2: estimated
+    # from logs (ratio < 1 as a < b), then settled by that test within the cap
+    target = epsilon0 / 2.0
+    estimate = math.log(target) / math.log(ratio) if ratio < 1.0 else math.inf
+    ell = max(1, math.ceil(min(estimate, cap + 1)))
+    while ell > 1 and ratio ** (ell - 1) <= target:
+        ell -= 1
+    while ell <= cap and ratio ** ell > target:
         ell += 1
-    t_word = ((best_row, best_cell),) * ell
+    if ell > cap:
+        raise BudgetExceeded(f"epsilon chain: word T longer than cap {cap}")
+    t_map = word_map(spec, itertools.repeat((best_row, best_cell), ell))
 
     points = []
     radius = 0.0
     for k in range(n + 1):
         coding = y_codings(spec, k / n, DEFAULT_DEPTH_PAD)[0]
-        tail = tuple((i, 1) for i in coding)
-        sx, tx, sy, ty = word_map(spec, t_word + tail)
+        sx, tx, sy, ty = word_map(spec, ((i, 1) for i in coding), t_map)
         points.append((tx, ty))  # S_w(0, 0)
         radius = max(radius, math.hypot(sx, sy))
 
     xi, xi_prime = points[0], points[-1]
     span = math.hypot(xi[0] - xi_prime[0], xi[1] - xi_prime[1])
+    if span == 0.0:
+        raise VerificationFailed(
+            f"chain endpoints coincide at {xi}: word T (length {ell}) shrinks them "
+            "below float64 resolution")
     slack = 4.0 * radius
     max_step = 0.0
     for (ax, ay), (bx, by) in zip(points, points[1:]):

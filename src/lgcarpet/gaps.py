@@ -8,22 +8,15 @@ equivalence), with touching rects pre-merged.
 
 Two independent routes compute it.  gap_sequence_mst runs Borůvka rounds
 over a median-split tree of the rects, in the style of dual-tree Borůvka
-(March, Ram & Gray, "Fast Euclidean Minimum Spanning Tree", KDD 2010): each
-component finds its nearest rect in another component by walking pairs of
-tree nodes level by level as numpy arrays, and all of a round's picks merge
-in one vectorised union; the picks of a merged group close exactly one
-cycle, whose weights are equal, so one least pick per group is dropped.
-Every walk starts from the node pairs of the tree's middle level, listed
-with their box distances once per tree, so no round crosses the few pairs
-above it again.  Every surviving node pair offers the pair of its two
-nodes' first rects, which in side-by-side clusters of one shape are
-matching rects, so the per-component bounds that prune the walk tighten
-well above the leaves.  Before the rounds, one fixed-radius walk of the
-same tree joins every rect pair within a threshold: just below `floor`, so
-that the rounds resolve only the weights that the entries >= floor depend
-on.  The rounds then run on the quotient by those components, with
-per-component arrays as long as the components, not the rects.
-component_labels is that walk alone, at its threshold.
+(March, Ram & Gray, "Fast Euclidean Minimum Spanning Tree", KDD 2010).
+Every pass over the rects is one walk of pairs of tree nodes,
+`_Tree.descend`; the passes differ only in the node pairs they keep and in
+what they do with the rects those pairs hand over.  First one fixed-radius
+walk joins every rect pair just below `floor` (`_join_within`), so that the
+rounds resolve only the weights that the entries >= floor depend on.  Each
+round then finds every component's nearest other component on the quotient
+by those components, and all of a round's picks merge in one vectorised
+union.  component_labels is the fixed-radius walk alone, at its threshold.
 gap_sequence_bruteforce sweeps the full distance matrix threshold by
 threshold with a sequential union-find until one component is left.  Tests
 pin the routes against each other.
@@ -185,12 +178,12 @@ class _Tree:
     (lo, hi, boxes) per level, `boxes` being the node bounding boxes, each
     the hull of its children's.
 
-    Walks over pairs of nodes start at the middle level `start` = depth // 2,
-    whose 2**start (about sqrt(n)) nodes are all nonempty: `start_pairs`
-    holds every node pair (a, b), a <= b, of that level with the distance
-    between their boxes, about n / 2 pairs computed once per tree.  The
-    levels above it hold few pairs, and a walk that started at the root
-    would cross them again in every Borůvka round.
+    Walks start at the middle level `start` = depth // 2, whose 2**start
+    (about sqrt(n)) nodes are all nonempty: `start_pairs` holds every node
+    pair (a, b), a <= b, of that level with the distance between their
+    boxes, about n / 2 pairs computed once per tree.  The levels above it
+    hold few pairs, and a walk that started at the root would cross them
+    again in every Borůvka round.
     """
 
     def __init__(self, cols: Rects):
@@ -241,20 +234,57 @@ class _Tree:
         bounds = (k * n) >> level
         return bounds[:-1], bounds[1:]
 
-    def node_pairs(self, level: int, a: np.ndarray, b: np.ndarray):
-        """The nonempty node pairs (c, d), c <= d, of `level` below the node
-        pairs (a, b), a <= b, of the level above, with the distances between
-        their boxes.  A self pair has three child pairs, any other pair four;
-        only at the last level can a child be empty."""
-        lo, hi, boxes = self.levels[level]
-        same = a == b
-        s, a, b = 2 * a[same], 2 * a[~same], 2 * b[~same]
-        c = np.concatenate([s, s, s + 1, a, a, a + 1, a + 1])
-        d = np.concatenate([s, s + 1, s + 1, b, b + 1, b, b + 1])
-        if level == len(self.levels) - 1:
-            full = (hi[c] > lo[c]) & (hi[d] > lo[d])
-            c, d = c[full], d[full]
-        return c, d, _pair_dist(boxes, c, d)
+    def descend(self, keep, act) -> None:
+        """Walk pairs of nodes down the tree, one level at a time.
+
+        The walk starts from `start_pairs`.  Each later level holds the child
+        pairs of the pairs kept at the level above: three for a self pair,
+        four for any other, without the empty leaves of the last level.
+        `keep(level, a, b, dist)` masks the node pairs (a[k], b[k]), a <= b,
+        of `level`, given the distances between their boxes, and the walk
+        stops at the first level where it keeps none.  For the kept pairs,
+        `act(i, j)` gets the first rects i[k], j[k] of the two nodes.  Sibling
+        ranges are sorted along one axis, so in side-by-side clusters of one
+        shape these two rects match and realise the box distance high up the
+        tree; at the last level they are the pair itself.  A mask that drops
+        the pairs whose nodes lie inside one component keeps coincident rects
+        from making the walk quadratic.
+        """
+        a, b, dist = self.start_pairs
+        for level in range(self.start, len(self.levels)):
+            lo, hi, boxes = self.levels[level]
+            if level > self.start:
+                same = a == b
+                s, a, b = 2 * a[same], 2 * a[~same], 2 * b[~same]
+                a, b = (np.concatenate([s, s, s + 1, a, a, a + 1, a + 1]),
+                        np.concatenate([s, s + 1, s + 1, b, b + 1, b, b + 1]))
+                if level == len(self.levels) - 1:
+                    full = (hi[a] > lo[a]) & (hi[b] > lo[b])
+                    a, b = a[full], b[full]
+                dist = _pair_dist(boxes, a, b)
+            kept = keep(level, a, b, dist)
+            a, b = a[kept], b[kept]
+            if len(a) == 0:
+                return
+            act(self.perm[lo[a]], self.perm[lo[b]])
+
+    def reduce(self, ufunc, values: np.ndarray, level: int) -> np.ndarray:
+        """`ufunc` over the `values` (one per rect) in each node of `level`."""
+        return ufunc.reduceat(values[self.perm], self.levels[level][0])
+
+    def node_ranges(self, labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Least and largest of the int `labels` (one per rect) in each node,
+        per level, bottom-up from the leaves; an empty leaf gets the dtype's
+        largest and least value."""
+        lo, hi, _ = self.levels[-1]
+        leaf, full, limits = labels[self.perm[lo]], hi > lo, np.iinfo(labels.dtype)
+        least, most = np.where(full, leaf, limits.max), np.where(full, leaf, limits.min)
+        ranges = [(least, most)]
+        for _ in range(len(self.levels) - 1):
+            least = np.minimum(least[0::2], least[1::2])
+            most = np.maximum(most[0::2], most[1::2])
+            ranges.append((least, most))
+        return ranges[::-1]
 
 
 def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
@@ -262,35 +292,24 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
 
     Only a spanning forest of the pairs is merged, never the pairs themselves.
     Tree-order neighbours within t join first: they are mostly close, and a
-    run of them makes a whole node one component.  Then the walk goes down
-    pairs of tree nodes one level at a time from the tree's start pairs, as
-    in `_boruvka`.  A node pair is dropped when its box distance exceeds t,
-    or when both nodes lie inside one component (so coincident rects never
-    make the walk quadratic).  The first rects of the two nodes of every
-    surviving node pair join when they are within t (the pair `_boruvka`
-    offers), in one `uf.union_pairs` call per level, which empties most
-    later levels.  At the last level the nodes are single rects, so every
-    pair within t is joined there unless an ancestor pair already joined it.
+    run of them makes a whole node one component.  The walk then keeps the
+    node pairs within t whose nodes do not lie inside one component, and
+    joins the rects they hand over that are within t, in one
+    `uf.union_pairs` call per level, which empties most later levels.  At
+    the last level the nodes are single rects, so every pair within t is
+    joined there unless an ancestor pair already joined it.
     """
-    perm = tree.perm
-
     def join(i, j):
         close = _pair_dist(cols, i, j) <= t
         uf.union_pairs(i[close], j[close])
 
-    join(perm[:-1], perm[1:])
-    a, b, dist = tree.start_pairs
-    for level in range(tree.start, len(tree.levels)):
-        if level > tree.start:
-            a, b, dist = tree.node_pairs(level, a, b)
-        lo = tree.levels[level][0]
-        csort = uf.parent[perm]
-        cmin, cmax = np.minimum.reduceat(csort, lo), np.maximum.reduceat(csort, lo)
-        keep = ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b])) & (dist <= t)
-        a, b = a[keep], b[keep]
-        if len(a) == 0:
-            break
-        join(perm[lo[a]], perm[lo[b]])
+    def keep(level, a, b, dist):
+        cmin = tree.reduce(np.minimum, uf.parent, level)
+        cmax = tree.reduce(np.maximum, uf.parent, level)
+        return ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b])) & (dist <= t)
+
+    join(tree.perm[:-1], tree.perm[1:])
+    tree.descend(keep, join)
 
 
 def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
@@ -313,35 +332,28 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
     minimum spanning tree, which is unique.  Rounds stop when one component
     is left.
 
-    A round walks pairs of tree nodes one level at a time from the tree's
-    start pairs.  A node pair is dropped when both nodes lie inside the same
-    component, or when their box distance is not below the larger bound of
-    the components in them: no rect pair inside can then beat a bound, so
-    ties are never chased (coincident rects would otherwise make the walk
-    quadratic).  Bounds start from neighbouring rects in tree order, which
-    give every component a finite bound; the neighbour pairs that cross
-    components are found once, and each round keeps those that still do.
-    Bounds tighten with the first rects of the two nodes of every surviving
-    node pair; at the last level these pairs are exact.  Sibling ranges are
-    sorted along one axis, so for translated clusters the two first rects
-    match and realise the box distance high up the tree.  The least and
-    largest component of every node are fixed within a round and are built
-    once, bottom-up from the leaves.  A node of one component reads its bound
-    directly; only while some node holds several does a level take the
-    maximum over the rects of each node, so that it includes the offers of
-    the levels above.
+    Each round is one walk of `tree`.  It drops a node pair when both nodes
+    lie inside the same component, or when their box distance is not below
+    the larger bound of the components in them: no rect pair inside can then
+    beat a bound, so ties are never chased.  Bounds start from neighbouring
+    rects in tree order, which give every component a finite bound; the
+    neighbour pairs that cross components are found once, and each round
+    keeps those that still do.  Every rect pair the walk hands over is then
+    offered, which tightens the bounds level by level.  A node of one
+    component reads its bound directly; only while some node holds several
+    does a level take the maximum over the rects of each node, so that it
+    includes the offers of the levels above.
     """
-    perm, n, k = tree.perm, len(cols), uf.components
+    n, k = len(cols), uf.components
     number = np.cumsum(uf.parent == np.arange(n)) - 1  # the roots numbered 0..k-1
     quotient, comp0 = _UnionFind(k), number[uf.parent]
-    near_i, near_j = perm[:-1], perm[1:]
-    leaf_lo, leaf_hi = tree.levels[-1][:2]
-    full = leaf_hi > leaf_lo
+    near_i, near_j = tree.perm[:-1], tree.perm[1:]
     weights = [np.empty(0)]
     while quotient.components > 1:
         comp = quotient.parent[comp0]  # every entry a root of `quotient`
         best = np.full(k, np.inf)  # per component root: least distance found
         edge = np.full(k, -1, dtype=np.int64)  # its component pair, as c * k + c'
+        ranges = tree.node_ranges(comp)  # fixed within a round
 
         def offer(i, j):
             ci, cj = comp[i], comp[j]
@@ -354,35 +366,17 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
             edge[c[hit]] = e[hit]
             return i, j
 
-        near_i, near_j = offer(near_i, near_j)  # only the crossing pairs stay
-        csort = comp[perm]
-        # least and largest component per node, from the leaves up to the
-        # start level; empty leaves get k and -1
-        cmin = np.where(full, csort[leaf_lo], k)
-        cmax = np.where(full, csort[leaf_lo], -1)
-        ranges = [(cmin, cmax)]
-        for _ in range(tree.start, len(tree.levels) - 1):
-            cmin = np.minimum(cmin[0::2], cmin[1::2])
-            cmax = np.maximum(cmax[0::2], cmax[1::2])
-            ranges.append((cmin, cmax))
-        ranges.reverse()
-
-        a, b, dist = tree.start_pairs
-        for level, (cmin, cmax) in enumerate(ranges, start=tree.start):
-            if level > tree.start:
-                a, b, dist = tree.node_pairs(level, a, b)
-            lo = tree.levels[level][0]
+        def keep(level, a, b, dist):
+            cmin, cmax = ranges[level]
             bound = best[np.minimum(cmin, k - 1)]  # exact for one-component nodes
             multi = cmin < cmax
             if multi.any():
-                bound = np.where(multi, np.maximum.reduceat(best[csort], lo), bound)
-            # not both inside one component, and close
-            keep = (~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
+                bound = np.where(multi, tree.reduce(np.maximum, best[comp], level), bound)
+            return (~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
                     & (dist < np.maximum(bound[a], bound[b])))
-            a, b = a[keep], b[keep]
-            if len(a) == 0:
-                break
-            offer(perm[lo[a]], perm[lo[b]])
+
+        near_i, near_j = offer(near_i, near_j)  # only the crossing pairs stay
+        tree.descend(keep, offer)
 
         roots = np.flatnonzero(quotient.parent == np.arange(k))  # before the union
         quotient.union_pairs(*np.divmod(edge[roots], k))

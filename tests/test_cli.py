@@ -438,6 +438,35 @@ class TestBudgetAndUsage:
         assert csv_rows(out, int, float, float) == (["index", "x", "y"], rows)
         assert len(rows) == 7
 
+    @pytest.mark.parametrize("command", ["check-ud", "report"])
+    @pytest.mark.parametrize("top_width, error", [
+        ("0.48", "VerificationFailed: chain endpoints coincide"),
+        ("0.4999999999", "BudgetExceeded: epsilon chain: word T longer than cap"),
+    ])
+    def test_chain_refusals(self, capsys, tmp_path, command, top_width, error):
+        # word T is 74 digits long and shrinks every chain point onto one
+        # float point; or it would be about 1.5e10 digits long
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"rows": [
+            {"b": "1/2", "cells": [{"a": "1/4", "c": "0"}]},
+            {"b": "1/2", "cells": [{"a": top_width, "c": "1/2"}]}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}")
+        assert err.count("\n") == 1
+
+    def test_one_cell_per_row_dimension(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"rows": [
+            {"b": b, "cells": [{"a": a, "c": "0"}]}
+            for b, a in [("0.7", "0.5"), ("0.2", "0.1"), ("0.1", "0.05")]]}))
+        code, out, err = run(capsys, ["dimension", str(path)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["s"] == payload["s1"] == 1.0
+
     def test_no_command(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 2

@@ -47,6 +47,18 @@ def test_single_point_dimension_zero():
     assert abs(res.s) <= 1e-9
 
 
+def test_one_cell_per_row_is_exactly_s1():
+    # the heights sum to 1 - 2**-53 in float, so a bracket for t = s - s1
+    # would start at g(0) < 0; with one cell per row g(0) = 0 exactly
+    spec = lg.CarpetSpec(tuple(lg.RowSpec(b, (lg.Cell(a, 0.0),))
+                               for b, a in [(0.7, 0.5), (0.2, 0.1), (0.1, 0.05)]))
+    assert lg.validate(spec) == []
+    assert sum(row.b for row in spec.rows) < 1.0
+    res = lg.solve_bdim(spec)
+    assert res.s == res.s1 == 1.0
+    assert res.iterations == 0
+
+
 def test_full_square_is_exactly_two():
     third = 1.0 / 3.0
     spec = lg.CarpetSpec((

@@ -1,19 +1,21 @@
 """Separation certificates, epsilon chains, and the combined UD verdict."""
 
 import math
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
 from lgcarpet import synth
-from lgcarpet.carpet import CarpetSpec, Rect, Rects, RowSpec
-from lgcarpet.disconnect import _touching_diameter
-from lgcarpet.errors import BudgetExceeded, ChainUnavailable, EmptyAttractor
+from lgcarpet.carpet import CarpetSpec, Cell, Rect, Rects, RowSpec
+from lgcarpet.disconnect import DEFAULT_DEPTH_PAD, _touching_diameter
+from lgcarpet.errors import (BudgetExceeded, CarpetError, ChainUnavailable, EmptyAttractor,
+                             VerificationFailed)
 
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -62,6 +64,34 @@ def assert_same_values(got, want):
 
 def all_empty_spec():
     return CarpetSpec(rows=(RowSpec(b=0.5, cells=()), RowSpec(b=0.5, cells=())))
+
+
+def two_row_spec(top_width):
+    """Half-height rows, a quarter-width cell below and one of `top_width` above."""
+    return CarpetSpec((RowSpec(0.5, (Cell(0.25, 0.0),)),
+                       RowSpec(0.5, (Cell(top_width, 0.5),))))
+
+
+@st.composite
+def full_row_specs(draw):
+    """Valid specs with every row nonempty: random heights, widths up to
+    0.999 of their row's height, random gaps between cells."""
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4))
+    rows = []
+    for w in weights:
+        b = w / sum(weights)
+        widths = [b * r for r in draw(st.lists(st.floats(0.01, 0.999), min_size=1, max_size=3))]
+        assume(sum(widths) <= 1.0)
+        gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=len(widths), max_size=len(widths)))
+        gaps = [(1.0 - sum(widths)) * g / max(1.0, sum(gaps)) for g in gaps]
+        cells, c = [], 0.0
+        for a, gap in zip(widths, gaps):
+            cells.append(Cell(a, c + gap))
+            c += gap + a
+        rows.append(RowSpec(b, tuple(cells)))
+    spec = CarpetSpec(tuple(rows))
+    assume(lg.validate(spec) == [])
+    return spec
 
 
 class TestEmptyRows:
@@ -174,6 +204,46 @@ class TestEpsilonChain:
         r1 = lg.build_epsilon_chain(mcm, 0.5).max_step_ratio
         r2 = lg.build_epsilon_chain(mcm, 0.1).max_step_ratio
         assert r2 < r1
+
+    def test_tall_word_budget(self, monkeypatch):
+        # ratio 0.96 gives a word T of 74 digits at epsilon0 = 0.1
+        spec = two_row_spec(0.48)
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "73")
+        with pytest.raises(BudgetExceeded, match="word T longer than cap 73$"):
+            lg.build_epsilon_chain(spec, 0.1)
+        monkeypatch.setenv("LG_MAX_CYLINDERS", "74")
+        with pytest.raises(VerificationFailed, match=r"word T \(length 74\)"):
+            lg.build_epsilon_chain(spec, 0.1)
+
+    def test_tall_word_refused_before_it_is_built(self):
+        # ratio 1 - 2e-10 would need a word T of about 1.5e10 digits
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="word T longer than cap"):
+            lg.build_epsilon_chain(two_row_spec(0.4999999999), 0.1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_endpoints_below_float_resolution(self):
+        # T scales by about 0.5**74, below the ulp of its offset, so every
+        # chain point rounds to one float point
+        with pytest.raises(VerificationFailed, match="endpoints coincide"):
+            lg.build_epsilon_chain(two_row_spec(0.48), 0.1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(full_row_specs(), st.sampled_from([0.5, 0.2, 0.1]))
+    def test_random_full_row_specs(self, spec, eps0):
+        # a chain, or a domain error; a chain's points are the maps of whole
+        # words T + tail, composed digit by digit
+        try:
+            ch = lg.build_epsilon_chain(spec, eps0)
+        except CarpetError:
+            return
+        row = 1 + max(range(spec.m), key=lambda i: spec.row_max_width[i] / spec.rows[i].b)
+        widths = [c.a for c in spec.rows[row - 1].cells]
+        t_word = ((row, 1 + widths.index(max(widths))),) * ch.ell
+        for k, point in enumerate(ch.points):
+            coding = lg.y_codings(spec, k / ch.n, DEFAULT_DEPTH_PAD)[0]
+            _, tx, _, ty = lg.word_map(spec, t_word + tuple((i, 1) for i in coding))
+            assert point == (tx, ty)
 
     def test_unavailable_with_empty_row(self, cd):
         with pytest.raises(ChainUnavailable):

@@ -355,6 +355,36 @@ class TestTree:
         assert np.array_equal(dist, _pair_dist(tree.levels[tree.start][2], a, b))
 
 
+class TestDescend:
+    """The one node-pair walk alone: kept by box distance only, the rect pairs
+    it hands over that lie within t are every rect pair within t."""
+
+    @staticmethod
+    def check(rects, t):
+        cols = Rects.of(rects)
+        handed = set()
+
+        def act(i, j):
+            close = (_pair_dist(cols, i, j) <= t) & (i != j)
+            handed.update(zip(np.minimum(i, j)[close].tolist(),
+                              np.maximum(i, j)[close].tolist()))
+
+        _Tree(cols).descend(lambda level, a, b, dist: dist <= t, act)
+        iu, ju = np.triu_indices(len(cols), k=1)
+        within = _pair_dist(cols, iu, ju) <= t
+        assert handed == set(zip(iu[within].tolist(), ju[within].tolist()))
+
+    @pytest.mark.parametrize("t", [0.0, 0.02, 0.1])
+    @pytest.mark.parametrize("n", START_SIZES)
+    def test_random_rects(self, n, t):
+        self.check(synth.random_rects(n, seed=n), t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_rects(), st.sampled_from([0.0, 0.25, 0.6]))
+    def test_lattice_rects(self, rects, t):
+        self.check(rects, t)
+
+
 class TestStartLevel:
     """Walks that start at the tree's middle level, and rounds on the quotient,
     against the oracles at sizes around every start-level boundary."""
