@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Rects, _max_cylinders, enumerate_depth, enumerate_stopping
+from .carpet import CarpetSpec, Cylinders, Rects, _max_cylinders, enumerate_depth, enumerate_stopping
 from .errors import BudgetExceeded
 
 # Relative snap applied to coordinate/delta before flooring, so that edges
@@ -23,13 +23,6 @@ GRID_SNAP = 1e-9
 
 # Cap on total emitted (cell per rect) pairs inside one count.
 MAX_GRID_CELLS = 50_000_000
-
-
-@dataclass(frozen=True)
-class ApproxSet:
-    delta: float
-    rects: Rects
-    spec_hash: str
 
 
 @dataclass(frozen=True)
@@ -46,12 +39,11 @@ class NDeltaCurve:
         return float(np.polyfit(np.log(1.0 / deltas), np.log(counts), 1)[0])
 
 
-def approx_set(spec: CarpetSpec, delta: float) -> ApproxSet:
-    """Rectangles of the delta-stopping cylinders."""
+def approx_set(spec: CarpetSpec, delta: float) -> Cylinders:
+    """The delta-stopping cylinders, as `enumerate_stopping`, for delta in (0, 1] only."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    cyls = enumerate_stopping(spec, delta)
-    return ApproxSet(delta, cyls.rects, spec.spec_hash)
+    return enumerate_stopping(spec, delta)
 
 
 def _grid_indices(vals: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -113,12 +113,10 @@ class Rects(Sequence):
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Image of the unit square under the word's map, with its two scale products."""
+    """Image of the unit square under the word's map; rect.w, rect.h are its scale products."""
 
     word: Word
     rect: Rect
-    a_prod: float
-    b_prod: float
 
 
 class Cylinders(Sequence):
@@ -136,9 +134,8 @@ class Cylinders(Sequence):
         return len(self.rects)
 
     def __getitem__(self, k: int) -> Cylinder:
-        rect = self.rects[k]
         word = tuple(self.digits[g] for g in self.words[k].tolist() if g >= 0)
-        return Cylinder(word, rect, rect.w, rect.h)
+        return Cylinder(word, self.rects[k])
 
 
 @dataclass(frozen=True)

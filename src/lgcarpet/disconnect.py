@@ -7,14 +7,20 @@ different constructions:
   * sufficiency: an empty row plus a finite separation certificate (all
     cylinders at some depth pairwise at positive distance) proves uniform
     disconnectedness, and with it quasisymmetric equivalence to the Cantor
-    ternary set;
+    ternary set, when the separation holds in exact arithmetic;
   * necessity: when every row is nonempty, explicit epsilon-chains of points
     of E with uniformly small steps connect any two chain endpoints, refuting
     uniform disconnectedness constructively.
 
-The separation certificate is sound but not complete: attractors whose
-cylinder hulls touch at every depth can still be totally disconnected, and
-those come back Undetermined with a shrinking diameter bound.
+The separation certificate is not complete: attractors whose cylinder hulls
+touch at every depth can still be totally disconnected, and those come back
+Undetermined with a shrinking diameter bound.  Nor is it exact, since the
+sweep tests separation in float64.  The maps are injective, so depth-1
+images that touch keep touching in their images under every word: in exact
+arithmetic the sweep certifies at depth 1 or never, and a certificate first
+reached below depth 1 can only come from rounding.  Rounding can also
+separate at depth 1 what touches: `synth.random_grid_spec(109)` is
+CertifiedUD only because 2/3 + 1/6 != 5/6 in float64.
 """
 
 from __future__ import annotations

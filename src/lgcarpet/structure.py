@@ -51,6 +51,11 @@ DIST_TIE_REL = 1e-9
 # digits past that scale carry no float information.
 RESOLUTION_FLOOR = 1e-14
 
+# find_gap_interval cuts its test fiber at the first depth whose column
+# choices pass this many; a cut fiber covers the whole one, so the test
+# stays sound.
+GAP_FIBER_CAP = 1_000_000
+
 
 class IntervalSet:
     """Disjoint closed intervals, sorted by left endpoint, as float64 columns
@@ -221,11 +226,14 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
     Membership tests use closed strips widened by a few ulp, so a y on a
     shared strip boundary keeps both itineraries and a point rounded one ulp
     into a gap is not rejected; only a strip thinner than that widening can
-    add a third between two, so the first and last are returned.  Strips
-    narrower than RESOLUTION_FLOOR cannot be told apart in floats (their
-    computed boundaries carry comparable rounding error), so from there on
-    each branch is extended canonically with the smallest row symbol instead
-    of testing membership.
+    add a third between two, so the first and last are returned.  The rows
+    tile [0, 1] (`validate` lets their heights sum to 1 within 1e-12), so a
+    strip of the top row keeps its parent's top edge where its own computed
+    one falls short: that shortfall grows level by level, and would otherwise
+    leave y = 1 outside the projection.  Strips narrower than RESOLUTION_FLOOR
+    cannot be told apart in floats (their computed boundaries carry comparable
+    rounding error), so from there on each branch is extended canonically
+    with the smallest row symbol instead of testing membership.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -234,19 +242,20 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
         raise NotInProjection(f"y={y} outside [0, 1]")
     # strips live in [0, 1], so absolute slack is also relative slack
     tol = 1e-15
-    active: list[tuple[Coding, float, float]] = [((), 0.0, 1.0)]
+    active: list[tuple[Coding, float, float, float]] = [((), 0.0, 1.0, 1.0)]
     for level in range(depth):
         nxt = []
-        for digits, lo, s in active:
+        for digits, lo, s, hi in active:
             if s < RESOLUTION_FLOOR:
-                nxt.append((digits + (proj.rows[0],),
-                            lo + s * proj.offsets[0], s * proj.ratios[0]))
+                clo, cs = lo + s * proj.offsets[0], s * proj.ratios[0]
+                nxt.append((digits + (proj.rows[0],), clo, cs, clo + cs))
                 continue
             for i, ratio, off in zip(proj.rows, proj.ratios, proj.offsets):
                 clo = lo + s * off
                 cs = s * ratio
-                if clo - tol <= y <= clo + cs + tol:
-                    nxt.append((digits + (i,), clo, cs))
+                chi = max(clo + cs, hi) if i == spec.m else clo + cs
+                if clo - tol <= y <= chi + tol:
+                    nxt.append((digits + (i,), clo, cs, chi))
         if not nxt:
             raise NotInProjection(
                 f"y={y} leaves the projection at refinement level {level + 1}")
@@ -377,14 +386,14 @@ def find_gap_interval(spec: CarpetSpec, coding: Coding,
 
     # Disjointness only needs resolution far below the guaranteed gap length,
     # and a truncated coding yields a superset of the fiber, so testing
-    # against it is sound.  Cap the interval count as a last resort.
+    # against it is sound.  GAP_FIBER_CAP bounds the interval count.
     target = (lam if lam > 0.0 else spec.a_min / 3.0) * width / 100.0
     depth = max(1, math.ceil(math.log(target) / math.log(spec.a_max)))
     depth = min(depth, len(coding))
     count = 1
     for k in range(depth):
         count *= len(spec.rows[coding[k] - 1].cells)
-        if count > 1_000_000:
+        if count > GAP_FIBER_CAP:
             depth = k + 1
             break
     fiber = fiber_approx(spec, coding[:depth])

@@ -6,6 +6,9 @@ import numpy as np
 
 from .carpet import CarpetSpec, Cell, Rect, RowSpec
 
+MAX_EXTENT = 0.05  # random_rects: every side is below it
+M_RANGE, N_MAX = (2, 5), 6  # random_grid_spec: m in M_RANGE, m < n <= N_MAX
+
 
 def cantor_dust() -> CarpetSpec:
     """Four corner cells in the bottom and top of three rows; middle row empty.
@@ -72,31 +75,30 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_rects(count: int, seed, max_extent: float = 0.05) -> list[Rect]:
-    """Seeded random rect set with a sprinkle of touching and duplicate pairs."""
+def random_rects(count: int, seed) -> list[Rect]:
+    """Seeded random rects, sides below MAX_EXTENT, some sharing an edge or a point."""
     rng = _rng(seed)
     rects: list[Rect] = []
     for k in range(count):
         if rects and k % 7 == 3:
             prev = rects[-1]  # share an edge: exercises zero-distance merging
-            rects.append(Rect(prev.x1, prev.y0, float(rng.uniform(0, max_extent)),
+            rects.append(Rect(prev.x1, prev.y0, float(rng.uniform(0, MAX_EXTENT)),
                               prev.h))
             continue
         x, y = rng.uniform(0.0, 1.0, size=2)
-        w, h = rng.uniform(0.0, max_extent, size=2)
+        w, h = rng.uniform(0.0, MAX_EXTENT, size=2)
         if k % 11 == 5:
             w = h = 0.0  # degenerate point rects
         rects.append(Rect(float(x), float(y), float(w), float(h)))
     return rects
 
 
-def random_grid_spec(seed, m_range: tuple[int, int] = (2, 5),
-                     n_max: int = 6) -> CarpetSpec:
-    """Uniform-grid spec: m' rows of b = 1/m', cells of a = 1/n' on grid
-    columns, random presence pattern, m' < n', at least one cell overall."""
+def random_grid_spec(seed) -> CarpetSpec:
+    """Uniform-grid spec: m rows of b = 1/m, cells of a = 1/n on grid columns
+    (m, n drawn as M_RANGE and N_MAX say), random presence, at least one cell."""
     rng = _rng(seed)
-    m = int(rng.integers(m_range[0], m_range[1] + 1))
-    n = int(rng.integers(m + 1, n_max + 1))
+    m = int(rng.integers(M_RANGE[0], M_RANGE[1] + 1))
+    n = int(rng.integers(m + 1, N_MAX + 1))
     pattern = rng.random((m, n)) < 0.5
     if not pattern.any():
         pattern[int(rng.integers(0, m)), int(rng.integers(0, n))] = True

@@ -134,8 +134,7 @@ class TestBoxCount:
 class TestApproxSet:
     def test_fields(self, cd):
         approx = lg.approx_set(cd, 1 / 9)
-        assert approx.delta == 1 / 9
-        assert approx.spec_hash == cd.spec_hash
+        assert list(approx) == list(lg.enumerate_stopping(cd, 1 / 9))
         assert len(approx.rects) == 16
         assert all(r.h <= 1 / 9 + 1e-15 for r in approx.rects)
 
@@ -158,6 +157,15 @@ class TestCurve:
         curve = lg.n_delta_curve(cd, 3.0 ** -2, 3.0 ** -6, 5)
         s = lg.solve_bdim(cd).s
         assert curve.slope == pytest.approx(s, rel=0.05)
+
+    @pytest.mark.parametrize("delta_max, delta_min, steps, message", [
+        (1 / 27, 1 / 3, 5, "need 0 < delta_min < delta_max <= 1"),
+        (1 / 9, 1 / 9, 5, "need 0 < delta_min < delta_max <= 1"),
+        (1 / 3, 1 / 27, 1, "steps must be >= 2, got 1"),
+    ])
+    def test_domain(self, cd, delta_max, delta_min, steps, message):
+        with pytest.raises(ValueError, match=message):
+            lg.n_delta_curve(cd, delta_max, delta_min, steps)
 
     def test_steps_budget(self, cd, monkeypatch):
         # the finest sample, 1/27, has 64 stopping cylinders

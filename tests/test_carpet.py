@@ -1,5 +1,6 @@
 """Spec parsing, validation, affine words, and cylinder enumeration."""
 
+import dataclasses
 import json
 import math
 import re
@@ -31,7 +32,7 @@ def reference_cylinders(spec, stops):
     def visit(word):
         sx, tx, sy, ty = lg.word_map(spec, word)
         if stops(word, sy):
-            out.append(lg.Cylinder(word, lg.Rect(tx, ty, sx, sy), sx, sy))
+            out.append(lg.Cylinder(word, lg.Rect(tx, ty, sx, sy)))
             return
         for digit in spec.digits:
             visit(word + (digit,))
@@ -99,6 +100,10 @@ class TestParsing:
         {"rows": [{"b": "x/y", "cells": []}] * 2},
         {"rows": [{"b": None, "cells": []}] * 2},
         [1, 2, 3],
+        {"rows": [[0.5, []], {"b": 0.5, "cells": []}]},  # row not an object
+        {"rows": [{"b": 0.5}] * 2},                       # row without cells
+        {"rows": [{"b": 0.5, "cells": {}}] * 2},          # cells not a list
+        {"rows": [{"b": True, "cells": []}] * 2},         # a boolean for a number
     ])
     def test_schema_errors(self, bad):
         with pytest.raises(SchemaError):
@@ -308,10 +313,19 @@ class TestEnumeration:
         cyls = lg.enumerate_stopping(mixed, delta)
         assert cyls
         for cyl in cyls:
-            assert cyl.b_prod <= delta
+            assert cyl.rect.h <= delta
             # parent must still be above delta
-            parent_b = cyl.b_prod / mixed.rows[cyl.word[-1][0] - 1].b
+            parent_b = cyl.rect.h / mixed.rows[cyl.word[-1][0] - 1].b
             assert parent_b > delta
+
+    def test_cylinder_is_word_and_rect(self, cd):
+        assert [f.name for f in dataclasses.fields(lg.Cylinder)] == ["word", "rect"]
+        cyl = lg.enumerate_stopping(cd, 1 / 3)[1]
+        assert cyl == lg.Cylinder(((1, 2),), lg.Rect(0.75, 0.0, 0.25, 1 / 3))
+
+    def test_negative_depth(self, mcm):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            lg.enumerate_depth(mcm, -1)
 
     def test_stopping_cd_one_third(self, cd):
         cyls = lg.enumerate_stopping(cd, 1 / 3)
@@ -322,7 +336,7 @@ class TestEnumeration:
         # equal row heights: every stopping word has the same depth
         cyls = lg.enumerate_stopping(mcm, 0.2)
         assert len(cyls) == 27
-        assert all(c.b_prod == 0.125 and len(c.word) == 3 for c in cyls)
+        assert all(c.rect.h == 0.125 and len(c.word) == 3 for c in cyls)
 
     def test_budget_param(self, mcm, monkeypatch):
         monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
@@ -339,7 +353,7 @@ class TestEnumeration:
         cyls = lg.enumerate_stopping(spec, delta)
         want = reference_cylinders(spec, lambda word, h: bool(word) and h <= delta)
         assert list(cyls) == want
-        assert all(type(v) is float for c in cyls for v in (c.rect.x0, c.a_prod))
+        assert all(type(v) is float for c in cyls for v in (c.rect.x0, c.rect.w))
 
     @settings(max_examples=60, deadline=None)
     @given(walk_specs, st.integers(0, 3))

@@ -15,7 +15,7 @@ import pytest
 
 import lgcarpet as lg
 from lgcarpet.cli import main
-from test_structure import THIN_ROW_SPEC
+from test_structure import SHORT_TOP_SPEC, THIN_ROW_SPEC
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -66,6 +66,17 @@ class TestValidate:
         payload = json.loads(out)
         assert payload["valid"] is False
         assert "finite" in payload["violations"][0]["message"]
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.5, []], "row 1 must be an object"),
+        ({"b": 0.5}, "row 1 is missing 'cells'"),
+        ({"b": 0.5, "cells": {}}, "row 1: 'cells' must be a list"),
+        ({"b": True, "cells": []}, "row 1.b: expected a number, got a boolean"),
+    ])
+    def test_schema_refusals(self, capsys, tmp_path, row, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": [row, {"b": 0.5, "cells": []}]}))
+        assert run(capsys, ["dimension", str(bad)]) == (1, "", f"error: SchemaError: {message}\n")
 
     def test_unparseable_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -456,6 +467,23 @@ class TestBudgetAndUsage:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {error}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["check-ud"], ["report"], ["chain", "--epsilon", "0.5"]])
+    def test_heights_summing_short_of_one(self, capsys, tmp_path, argv):
+        # y = 1 lies above the top strip's computed edge from level 17 on
+        path = tmp_path / "short_top.json"
+        path.write_text(SHORT_TOP_SPEC)
+        start = time.perf_counter()
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        if argv[0] == "chain":
+            chain = lg.build_epsilon_chain(lg.load_spec(path), 0.5)
+            assert csv_rows(out, int, float, float) == (
+                ["index", "x", "y"], [(k, x, y) for k, (x, y) in enumerate(chain.points)])
+        else:
+            payload = json.loads(out)
+            assert payload.get("ud", payload)["kind"] == "CertifiedNotUD"
 
     def test_one_cell_per_row_dimension(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -125,3 +125,5 @@ def test_bisect_decreasing():
     assert iters > 0
     with pytest.raises(NoConvergence):
         bisect_decreasing(lambda x: x, 1.0, 2.0)  # increasing, no bracket
+    with pytest.raises(NoConvergence, match="after 200 bisection steps"):
+        bisect_decreasing(lambda x: 1.0 - x, 0.0, 2.0, tol=0.0)  # floats stop halving

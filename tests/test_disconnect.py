@@ -14,8 +14,8 @@ import lgcarpet as lg
 from lgcarpet import synth
 from lgcarpet.carpet import CarpetSpec, Cell, Rect, Rects, RowSpec
 from lgcarpet.disconnect import DEFAULT_DEPTH_PAD, _touching_diameter
-from lgcarpet.errors import (BudgetExceeded, CarpetError, ChainUnavailable, EmptyAttractor,
-                             VerificationFailed)
+from lgcarpet.errors import BudgetExceeded, ChainUnavailable, EmptyAttractor, VerificationFailed
+from test_structure import SHORT_TOP_SPEC
 
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -235,7 +235,7 @@ class TestEpsilonChain:
         # words T + tail, composed digit by digit
         try:
             ch = lg.build_epsilon_chain(spec, eps0)
-        except CarpetError:
+        except (BudgetExceeded, VerificationFailed):
             return
         row = 1 + max(range(spec.m), key=lambda i: spec.row_max_width[i] / spec.rows[i].b)
         widths = [c.a for c in spec.rows[row - 1].cells]
@@ -244,6 +244,18 @@ class TestEpsilonChain:
             coding = lg.y_codings(spec, k / ch.n, DEFAULT_DEPTH_PAD)[0]
             _, tx, _, ty = lg.word_map(spec, t_word + tuple((i, 1) for i in coding))
             assert point == (tx, ty)
+
+    def test_heights_summing_short_of_one(self, tmp_path):
+        # y = 1 keeps the top itinerary although the top strip's computed
+        # edge falls below 1
+        path = tmp_path / "short_top.json"
+        path.write_text(SHORT_TOP_SPEC)
+        spec = lg.load_spec(path)
+        chain = lg.build_epsilon_chain(spec, 0.5)
+        t_word = ((1, 1),) * chain.ell  # both rows' cells are half as wide as high
+        _, tx, _, ty = lg.word_map(spec, t_word + ((2, 1),) * DEFAULT_DEPTH_PAD)
+        assert chain.xi_prime == (tx, ty)
+        assert lg.check_uniform_disconnectedness(spec).kind == "CertifiedNotUD"
 
     def test_unavailable_with_empty_row(self, cd):
         with pytest.raises(ChainUnavailable):

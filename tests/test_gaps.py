@@ -490,6 +490,10 @@ class TestFloor:
 
 
 class TestCantorIntervals:
+    def test_negative_level(self):
+        with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+            synth.cantor_intervals(-1)
+
     def test_level_8_gap_sequence(self):
         # 2^8 intervals; gap 3^-n appears 2^(n-1) times
         seq = lg.gap_sequence_mst(synth.cantor_intervals(8))

@@ -17,12 +17,14 @@ from lgcarpet import IntervalSet, synth
 from lgcarpet.errors import (
     BudgetExceeded,
     CodingsNotDiverging,
+    EmptyAttractor,
     EmptyInput,
     InvalidCoding,
     NoGapFound,
     NotInProjection,
 )
-from lgcarpet.structure import DIST_TIE_REL, _distances, _projection_bounds
+from lgcarpet import structure
+from lgcarpet.structure import DIST_TIE_REL, GAP_FIBER_CAP, _distances, _projection_bounds
 from test_carpet import uneven_specs, walk_specs
 
 pair = st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 0.2, allow_nan=False))
@@ -68,6 +70,12 @@ def reference_classes(spec, delta):
 THIN_ROW_SPEC = """{"rows": [{"b": "1/2", "cells": [{"a": "1/4", "c": "0"}]},
           {"b": "1e-16", "cells": [{"a": "5e-17", "c": "0"}]},
           {"b": 0.49999999999999994, "cells": [{"a": "1/4", "c": "1/2"}]}]}"""
+
+# a valid spec whose heights sum to 1 - 2**-53 in float: the top of its
+# projection's top strip falls about 2e-15 below 1 by refinement level 17
+SHORT_TOP_SPEC = """{"rows": [
+          {"b": 0.05271828665568369, "cells": [{"a": 0.026359143327841845, "c": 0}]},
+          {"b": 0.9472817133443162, "cells": [{"a": 0.4736408566721581, "c": 0}]}]}"""
 
 
 def reference_h_delta(spec, delta):
@@ -134,6 +142,13 @@ class TestIntervalSet:
         s = IntervalSet([(0.6, 1.0), (0.0, 0.1), (0.05, 0.2), (0.2, 0.3)])
         assert s.intervals == ((0.0, 0.3), (0.6, 1.0))
         assert s.bounds == (0.0, 1.0)
+
+    def test_empty_set_has_no_bounds_or_distance(self):
+        empty = IntervalSet(())
+        with pytest.raises(EmptyInput, match="no bounds"):
+            empty.bounds
+        with pytest.raises(EmptyInput):
+            empty.distance_to_point(0.5)
 
     @pytest.mark.parametrize("pairs", [[(1.0, 0.0)], [(0.0, math.nan)], [(math.nan, 0.5)],
                                        [(0.0, 0.1), (0.2, math.inf)], [(-math.inf, 0.0)]])
@@ -214,6 +229,13 @@ class TestProjection:
         with pytest.raises(ValueError, match="depth must be >= 0"):
             lg.projection_approx(cd, -1)
 
+    def test_empty_attractor(self):
+        spec = lg.CarpetSpec((lg.RowSpec(0.5, ()), lg.RowSpec(0.5, ())))
+        with pytest.raises(EmptyAttractor, match="projection undefined"):
+            lg.project_F(spec)
+        with pytest.raises(EmptyAttractor, match="every row is empty"):
+            lg.gap_fraction(spec)
+
     def test_budget(self, cd, monkeypatch):
         # 16 intervals at depth 4, each with two images at depth 5
         monkeypatch.setenv("LG_MAX_CYLINDERS", "32")
@@ -245,6 +267,26 @@ class TestYCodings:
         assert lg.validate(spec) == []
         assert lg.y_codings(spec, 0.5, 3) == [(1, 3, 3), (3, 1, 1)]
         assert lg.y_codings(spec, 0.25, 3) == [(1, 1, 3), (1, 3, 1)]
+
+    def test_top_strip_keeps_its_parents_top(self, tmp_path):
+        path = tmp_path / "short_top.json"
+        path.write_text(SHORT_TOP_SPEC)
+        spec = lg.load_spec(path)
+        assert lg.validate(spec) == []
+        assert lg.y_codings(spec, 1.0, 40) == [(2,) * 40]
+        assert lg.y_codings(spec, 0.0, 40) == [(1,) * 40]
+
+    @pytest.mark.parametrize("low", [0.05, 0.5, 0.9])
+    def test_heights_short_of_one_within_validation(self, low):
+        # validate lets the heights sum to 1 within 1e-12
+        spec = lg.CarpetSpec((lg.RowSpec(low, (lg.Cell(low / 2, 0.0),)),
+                              lg.RowSpec(1.0 - low - 9e-13, (lg.Cell(0.01, 0.5),))))
+        assert lg.validate(spec) == []
+        assert lg.y_codings(spec, 1.0, 12) == [(2,) * 12]
+
+    def test_depth_domain(self, cd):
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            lg.y_codings(cd, 0.0, 0)
 
     def test_hole_raises(self, cd):
         with pytest.raises(NotInProjection):
@@ -410,6 +452,18 @@ class TestFindGapInterval:
                 j_lo, j_hi = lg.find_gap_interval(spec, coding, (lo, lo + w))
                 assert lo <= j_lo < j_hi <= lo + w
                 assert j_hi - j_lo >= lam * w * (1 - 1e-9)
+
+    def test_fiber_cut_at_cap(self, cd, monkeypatch):
+        # |I| = 1e-10 asks for 23 digits; 2**20 column choices pass the cap at 20
+        depths = []
+        fiber_approx = structure.fiber_approx
+        monkeypatch.setattr(structure, "fiber_approx",
+                            lambda spec, coding: depths.append(len(coding)) or
+                            fiber_approx(spec, coding))
+        assert GAP_FIBER_CAP == 1_000_000
+        j = lg.find_gap_interval(cd, (1, 3) * 20, (1 / 7, 1 / 7 + 1e-10))
+        assert j == (0.14285714289047619, 0.14285714292380952)
+        assert depths == [20]
 
     def test_tiny_interval_inside_fiber_gap(self, mcm):
         # even a depth-1 coding suffices when I's middle third misses the
