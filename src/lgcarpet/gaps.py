@@ -174,9 +174,11 @@ class _Tree:
     The centres are ranked along x and along y once, by stable sorts, so that
     each level is one sort of the distinct int64 keys node * n + rank (ties
     in a coordinate keep index order).  The last level holds single rects,
-    plus empty nodes when n is not a power of two.  `levels` lists
-    (lo, hi, boxes) per level, `boxes` being the node bounding boxes, each
-    the hull of its children's.
+    plus empty nodes when n is not a power of two; an empty leaf stands for
+    its sibling's rect, which is the one rect of their parent.  Every
+    per-node value is then one `up`, a reduction from the leaves to the
+    root: the node bounding boxes, and each walk's component ranges and
+    bounds.  `levels` lists (lo, hi, boxes) per level.
 
     Walks start at the middle level `start` = depth // 2, whose 2**start
     (about sqrt(n)) nodes are all nonempty: `start_pairs` holds every node
@@ -208,22 +210,15 @@ class _Tree:
             rank = np.where(wide_x[node], rank_x[perm], rank_y[perm])
             perm = perm[np.argsort(node * n + rank)]
         self.perm = perm
-        # leaf boxes, empty leaves inverted; each level above is the hull of
-        # its children (only leaves can be empty)
+        # node boxes are the hulls of their rects, one `up` per column; an
+        # empty leaf, odd or even, stands for its sibling's rect at lo - 1 or
+        # lo, since every node above the last level holds one or two rects
         lo, hi = self._ranges(n, depth)
-        leaf, full = perm[np.minimum(lo, n - 1)], hi > lo
-        boxes = _Boxes(np.where(full, cols.x0[leaf], np.inf),
-                       np.where(full, cols.y0[leaf], np.inf),
-                       np.where(full, cols.x1[leaf], -np.inf),
-                       np.where(full, cols.y1[leaf], -np.inf))
-        self.levels = [(lo, hi, boxes)]
-        for level in range(depth - 1, -1, -1):
-            boxes = _Boxes(np.minimum(boxes.x0[0::2], boxes.x0[1::2]),
-                           np.minimum(boxes.y0[0::2], boxes.y0[1::2]),
-                           np.maximum(boxes.x1[0::2], boxes.x1[1::2]),
-                           np.maximum(boxes.y1[0::2], boxes.y1[1::2]))
-            self.levels.append((*self._ranges(n, level), boxes))
-        self.levels.reverse()
+        self.leaf = perm[np.where(hi > lo, lo, lo - (np.arange(len(lo)) & 1))]
+        hull = [self.up(np.minimum, cols.x0), self.up(np.minimum, cols.y0),
+                self.up(np.maximum, cols.x1), self.up(np.maximum, cols.y1)]
+        self.levels = [(*self._ranges(n, level), _Boxes(*(h[level] for h in hull)))
+                       for level in range(depth + 1)]
         self.start = depth // 2
         a, b = np.triu_indices(2 ** self.start)
         self.start_pairs = (a, b, _pair_dist(self.levels[self.start][2], a, b))
@@ -268,23 +263,14 @@ class _Tree:
                 return
             act(self.perm[lo[a]], self.perm[lo[b]])
 
-    def reduce(self, ufunc, values: np.ndarray, level: int) -> np.ndarray:
-        """`ufunc` over the `values` (one per rect) in each node of `level`."""
-        return ufunc.reduceat(values[self.perm], self.levels[level][0])
-
-    def node_ranges(self, labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Least and largest of the int `labels` (one per rect) in each node,
-        per level, bottom-up from the leaves; an empty leaf gets the dtype's
-        largest and least value."""
-        lo, hi, _ = self.levels[-1]
-        leaf, full, limits = labels[self.perm[lo]], hi > lo, np.iinfo(labels.dtype)
-        least, most = np.where(full, leaf, limits.max), np.where(full, leaf, limits.min)
-        ranges = [(least, most)]
-        for _ in range(len(self.levels) - 1):
-            least = np.minimum(least[0::2], least[1::2])
-            most = np.maximum(most[0::2], most[1::2])
-            ranges.append((least, most))
-        return ranges[::-1]
+    def up(self, ufunc, values: np.ndarray) -> list[np.ndarray]:
+        """`ufunc` over the `values` (one per rect) in each node, per level
+        from the root down: the leaves take their rects' values, and each
+        level above pairs up its children's."""
+        out = [values[self.leaf]]
+        while len(out[-1]) > 1:
+            out.append(ufunc(out[-1][0::2], out[-1][1::2]))
+        return out[::-1]
 
 
 def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
@@ -304,8 +290,8 @@ def _join_within(tree: _Tree, cols: Rects, uf: _UnionFind, t: float) -> None:
         uf.union_pairs(i[close], j[close])
 
     def keep(level, a, b, dist):
-        cmin = tree.reduce(np.minimum, uf.parent, level)
-        cmax = tree.reduce(np.maximum, uf.parent, level)
+        cmin = tree.up(np.minimum, uf.parent)[level]
+        cmax = tree.up(np.maximum, uf.parent)[level]
         return ~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b])) & (dist <= t)
 
     join(tree.perm[:-1], tree.perm[1:])
@@ -353,7 +339,7 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
         comp = quotient.parent[comp0]  # every entry a root of `quotient`
         best = np.full(k, np.inf)  # per component root: least distance found
         edge = np.full(k, -1, dtype=np.int64)  # its component pair, as c * k + c'
-        ranges = tree.node_ranges(comp)  # fixed within a round
+        least, most = tree.up(np.minimum, comp), tree.up(np.maximum, comp)  # fixed within a round
 
         def offer(i, j):
             ci, cj = comp[i], comp[j]
@@ -367,11 +353,11 @@ def _boruvka(tree: _Tree, cols: Rects, uf: _UnionFind) -> np.ndarray:
             return i, j
 
         def keep(level, a, b, dist):
-            cmin, cmax = ranges[level]
-            bound = best[np.minimum(cmin, k - 1)]  # exact for one-component nodes
+            cmin, cmax = least[level], most[level]
+            bound = best[cmin]  # exact for one-component nodes
             multi = cmin < cmax
             if multi.any():
-                bound = np.where(multi, tree.reduce(np.maximum, best[comp], level), bound)
+                bound = np.where(multi, tree.up(np.maximum, best[comp])[level], bound)
             return (~((cmin[a] == cmax[b]) & (cmax[a] == cmin[b]))
                     & (dist < np.maximum(bound[a], bound[b])))
 
@@ -485,6 +471,8 @@ def scaling_fit(gapseq: GapSequence, s: float) -> ScalingFit:
     flat = gapseq.flat()
     if len(flat) < 10:
         raise TooFewGaps(f"need >= 10 gap values, got {len(flat)}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be finite and > 0, got {s}")
     alpha = np.array(flat)
     k = np.arange(1, len(flat) + 1, dtype=float)
     slope, intercept = np.polyfit(np.log(k), np.log(alpha), 1)

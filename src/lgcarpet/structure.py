@@ -74,8 +74,11 @@ class IntervalSet:
 
     @classmethod
     def from_pairs(cls, pairs, tol: float = 0.0) -> "IntervalSet":
-        """Sort and merge intervals whose gap is <= tol (0 merges touching);
-        a pair that is not finite with lo <= hi raises ValueError."""
+        """Sort and merge intervals whose gap is <= tol (0 merges touching,
+        inf gives the hull); a tol that is not >= 0, or a pair that is not
+        finite with lo <= hi, raises ValueError."""
+        if not tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {tol}")
         lo, hi = np.array(list(pairs), dtype=float).reshape(-1, 2).T
         ok = np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)
         if not ok.all():

@@ -395,6 +395,18 @@ class TestReport:
         assert "TooFewGaps" in payload["gap_scaling_skipped"]
         assert payload["ud"]["kind"] == "Undetermined"
 
+    def test_single_point_skips_scaling(self, capsys, tmp_path):
+        # s = 0 and no gaps: the gap fit is skipped before it sees s
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"rows": [{"b": 0.5, "cells": [{"a": 0.25, "c": 0.0}]},
+                                             {"b": 0.5, "cells": []}]}))
+        code, out, _ = run(capsys, ["report", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dimensions"]["s"] == 0.0
+        assert payload["gap_scaling"] is None
+        assert payload["gap_scaling_skipped"].startswith("TooFewGaps")
+
 
 class TestBudgetAndUsage:
     def test_cylinder_cap_env(self, capsys, monkeypatch):

@@ -195,6 +195,19 @@ class TestEpsilonChain:
         ch = lg.build_epsilon_chain(mcm, 0.1)
         assert (ch.n, ch.ell, len(ch.points)) == (21, 8, 22)
 
+    @pytest.mark.parametrize("a, eps0, n, ell", [
+        (0.375, 0.84375, 4, 3),  # ratio**3 == eps0/2 exactly; the log estimate gives 4
+        (0.05, 0.002, 1001, 4),  # ratio**3 a little above eps0/2; the estimate gives 3
+    ])
+    def test_word_length_settled_from_estimate(self, a, eps0, n, ell):
+        spec = CarpetSpec((RowSpec(0.5, (Cell(a, 0.0),)), RowSpec(0.5, (Cell(a, 1.0 - a),))))
+        ratio = a / 0.5
+        estimate = math.ceil(math.log(eps0 / 2.0) / math.log(ratio))
+        assert estimate != ell
+        ch = lg.build_epsilon_chain(spec, eps0)
+        assert (ch.n, ch.ell) == (n, ell)
+        assert ratio ** ell <= eps0 / 2.0 < ratio ** (ell - 1)
+
     def test_truncation_radius_is_small(self, mcm):
         ch = lg.build_epsilon_chain(mcm, 0.5)
         assert 0.0 < ch.truncation_radius < 1e-10
@@ -227,6 +240,13 @@ class TestEpsilonChain:
         # chain point rounds to one float point
         with pytest.raises(VerificationFailed, match="endpoints coincide"):
             lg.build_epsilon_chain(two_row_spec(0.48), 0.1)
+
+    def test_steps_below_float_resolution(self):
+        # ratio 0.94 gives a word T of 49 digits: the endpoints stay a few
+        # ulps apart, and one rounded step is a whole ulp of the offset
+        with pytest.raises(VerificationFailed,
+                           match=r"chain step 2.220446049250313e-16 exceeds eps0\*span"):
+            lg.build_epsilon_chain(two_row_spec(0.47), 0.1)
 
     @settings(max_examples=150, deadline=None)
     @given(full_row_specs(), st.sampled_from([0.5, 0.2, 0.1]))

@@ -609,6 +609,15 @@ class TestScalingFit:
         with pytest.raises(TooFewGaps):
             lg.scaling_fit(seq, 2.0)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_refuses_bad_dimension(self, cd, s):
+        # at s = 0 the band's exponent 1/s divided by zero; -1 and NaN gave
+        # a band for no dimension
+        seq = lg.gap_sequence_of_carpet(cd, 3.0 ** -7)
+        assert seq.total_multiplicity >= 10
+        with pytest.raises(ValueError, match="s must be finite and > 0"):
+            lg.scaling_fit(seq, s)
+
     def test_multiplicities_flatten_into_k(self):
         # one entry of multiplicity 10 is a constant sequence: slope 0
         seq = GapSequence(entries=((0.25, 10),))

@@ -22,6 +22,7 @@ from lgcarpet.errors import (
     InvalidCoding,
     NoGapFound,
     NotInProjection,
+    VerificationFailed,
 )
 from lgcarpet import structure
 from lgcarpet.structure import DIST_TIE_REL, GAP_FIBER_CAP, _distances, _projection_bounds
@@ -131,6 +132,8 @@ class TestIntervalSet:
     def test_merge_with_tolerance(self):
         s = IntervalSet.from_pairs([(0.0, 0.5), (0.500001, 1.0)], tol=1e-3)
         assert len(s) == 1
+        s = IntervalSet.from_pairs([(3.0, 4.0), (0.0, 1.0)], tol=math.inf)
+        assert s.intervals == ((0.0, 4.0),)  # the hull
 
     @given(pairs_strategy, st.randoms(use_true_random=False))
     def test_constructor_is_from_pairs(self, raw, rnd):
@@ -142,6 +145,15 @@ class TestIntervalSet:
         s = IntervalSet([(0.6, 1.0), (0.0, 0.1), (0.05, 0.2), (0.2, 0.3)])
         assert s.intervals == ((0.0, 0.3), (0.6, 1.0))
         assert s.bounds == (0.0, 1.0)
+        assert repr(s) == "IntervalSet(((0.0, 0.3), (0.6, 1.0)))"
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_from_pairs_refuses_bad_tol(self, tol):
+        # -1 would leave (0, 1) and (0.5, 2) overlapping, NaN would merge
+        # (0, 1) and (3, 4) across their gap
+        for pairs in ([(0.0, 1.0), (0.5, 2.0)], [(0.0, 1.0), (3.0, 4.0)]):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                IntervalSet.from_pairs(pairs, tol=tol)
 
     def test_empty_set_has_no_bounds_or_distance(self):
         empty = IntervalSet(())
@@ -485,6 +497,22 @@ class TestFindGapInterval:
     def test_bad_interval(self, mcm):
         with pytest.raises(ValueError):
             lg.find_gap_interval(mcm, (1,) * 10, (0.5, 0.4))
+
+    # unpatched, this coding and I give the gap interval (4/9, 5/9)
+    GAP_CASE = ((2, 1) * 10, (0.0, 1.0))
+
+    def test_refuses_gap_shorter_than_lambda(self, mcm, monkeypatch):
+        assert lg.find_gap_interval(mcm, *self.GAP_CASE) == \
+            (0.4444444444444444, 0.5555555555555556)
+        monkeypatch.setattr(structure, "gap_fraction", lambda spec: 0.9)
+        with pytest.raises(VerificationFailed,
+                           match=r"shorter than lambda\*\|I\|: 0.11111111111111116 < 0.9$"):
+            lg.find_gap_interval(mcm, *self.GAP_CASE)
+
+    def test_refuses_gap_meeting_the_fiber(self, mcm, monkeypatch):
+        monkeypatch.setattr(structure, "largest_row_gap", lambda spec, row: (0.0, 1.0))
+        with pytest.raises(VerificationFailed, match="meets the fiber approximation"):
+            lg.find_gap_interval(mcm, *self.GAP_CASE)
 
     def test_tiled_next_row(self):
         third = 1.0 / 3.0
