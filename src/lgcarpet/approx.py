@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Cylinders, Rects, _max_cylinders, enumerate_depth, enumerate_stopping
+from .carpet import CarpetSpec, Cylinders, Rects, _budget, _whole, enumerate_depth, enumerate_stopping
 from .errors import BudgetExceeded
 
 # Relative snap applied to coordinate/delta before flooring, so that edges
@@ -110,9 +110,7 @@ def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,
             f"need 0 < delta_min < delta_max <= 1, got {delta_min}, {delta_max}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    cap = _max_cylinders()
-    if steps > cap:
-        raise BudgetExceeded(f"box-count curve: {steps} steps exceeds cap {cap}")
+    _budget(steps, f"box-count curve: {steps} steps")
     deltas = np.geomspace(delta_max, delta_min, steps)
     return NDeltaCurve(tuple((float(d), box_count(spec, float(d))) for d in deltas))
 
@@ -126,6 +124,7 @@ def render_svg(spec: CarpetSpec, depth: int | None = None,
     """
     if (depth is None) == (delta is None):
         raise ValueError("give exactly one of depth or delta")
+    _whole(size, 1, "size")
     if depth is not None:
         rects = enumerate_depth(spec, depth).rects
     else:

@@ -383,12 +383,25 @@ def apply_word(spec: CarpetSpec, word: Iterable[Digit], target):
     return (sx * x + tx, sy * y + ty)
 
 
-def _max_cylinders() -> int:
-    """LG_MAX_CYLINDERS (an integer >= 1), else the default."""
+def _budget(count: int, what: str, tail: str = "") -> int:
+    """The one budget gate: refuse `count` pieces of `what` above the cap,
+    LG_MAX_CYLINDERS (an integer >= 1) or else the default; returns the cap."""
     text = os.environ.get("LG_MAX_CYLINDERS", str(DEFAULT_MAX_CYLINDERS))
     if not (text.isdecimal() and int(text) >= 1):
         raise InvalidSetting(f"LG_MAX_CYLINDERS must be an integer >= 1, got {text!r}")
-    return int(text)
+    cap = int(text)
+    if count > cap:
+        raise BudgetExceeded(f"{what} exceeds cap {cap}{tail}")
+    return cap
+
+
+def _whole(value, low: int, what: str) -> None:
+    """Refuse (ValueError) a `what` that is not a whole number >= low: NaN,
+    inf and 2.5 included, which no walk level would ever reach."""
+    if not value >= low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if not (value < math.inf and value % 1 == 0):
+        raise ValueError(f"{what} must be a finite whole number, got {value}")
 
 
 def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
@@ -407,14 +420,12 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
     the words from them), and the words' s, t columns.
     """
     axes, g = scale.shape
-    cap = _max_cylinders()
     columns, dtype = [], np.min_scalar_type(-g)
     s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
     for level in itertools.count():
         live &= (level != depth) if depth is not None else (level == 0) | (s[-1] > delta)
         grow = np.where(live, g, 1)
-        if grow.sum() > cap:
-            raise BudgetExceeded(f"{what} exceeds cap {cap} by length {level + 1}")
+        _budget(grow.sum(), what, f" by length {level + 1}")
         if not live.any():
             return columns, s, t
         parent = np.repeat(np.arange(len(live)), grow)
@@ -454,8 +465,7 @@ def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
 
 def enumerate_depth(spec: CarpetSpec, depth: int) -> Cylinders:
     """All cylinders of exactly `depth` digits, in lexicographic word order."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _whole(depth, 0, "depth")
     return _cylinders(spec, f"depth {depth}", depth=depth)
 
 

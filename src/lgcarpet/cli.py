@@ -27,7 +27,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .approx import n_delta_curve, render_svg
-from .carpet import CarpetSpec, _max_cylinders, _real, load_spec, validate
+from .carpet import CarpetSpec, _budget, _real, load_spec, validate
 from .dimension import BISECT_TOL, solve_bdim
 from .disconnect import DEFAULT_MAX_DEPTH, build_epsilon_chain, check_uniform_disconnectedness
 from .errors import BudgetExceeded, CarpetError, SchemaError, TooFewGaps
@@ -105,9 +105,7 @@ def _scaling(spec: CarpetSpec, args) -> dict:
 
 
 def _fibers(spec: CarpetSpec, args) -> tuple:
-    cap = _max_cylinders()  # the cycled coding is built here, before the library sees it
-    if args.depth > cap:
-        raise BudgetExceeded(f"fibers: depth {args.depth} exceeds cap {cap}")
+    _budget(args.depth, f"fibers: depth {args.depth}")  # before the cycled coding is built
     coding = tuple(args.coding[k % len(args.coding)] for k in range(args.depth))
     return ["left", "right"], fiber_approx(spec, coding).intervals
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carpet import CarpetSpec, Rects, _max_cylinders, enumerate_depth, word_map
+from .carpet import CarpetSpec, Rects, _budget, _whole, enumerate_depth, word_map
 from .errors import BudgetExceeded, ChainUnavailable, VerificationFailed
 from .gaps import component_labels
 from .structure import y_codings
@@ -75,10 +75,9 @@ def _touching_diameter(rects: Rects, labels: np.ndarray) -> float:
 def certify_totally_disconnected(spec: CarpetSpec,
                                  max_depth: int = DEFAULT_MAX_DEPTH) -> TDCertificate:
     """Depth sweep looking for a level with pairwise-separated cylinders."""
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    _whole(max_depth, 1, "max_depth")
     bounds: list[float] = []
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, int(max_depth) + 1):
         try:
             rects = enumerate_depth(spec, depth).rects
         except BudgetExceeded:
@@ -135,9 +134,7 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float) -> EpsilonChain:
             f"rows {empties} are empty; no chain exists (the attractor may be UD)")
 
     n = math.ceil(2.0 / epsilon0) + 1
-    cap = _max_cylinders()
-    if n + 1 > cap:
-        raise BudgetExceeded(f"epsilon chain: {n + 1} points exceeds cap {cap}")
+    cap = _budget(n + 1, f"epsilon chain: {n + 1} points")
     ratios = [spec.row_max_width[i] / row.b for i, row in enumerate(spec.rows)]
     best_row = 1 + max(range(spec.m), key=lambda i: ratios[i])
     ratio = ratios[best_row - 1]

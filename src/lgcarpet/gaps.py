@@ -430,8 +430,6 @@ def gap_sequence_bruteforce(rects) -> GapSequence:
     if len(rects) > ORACLE_CAP:
         raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {ORACLE_CAP}")
     cols = Rects.of(rects)
-    if len(cols) == 1:
-        return GapSequence(entries=())
     iu, ju = np.triu_indices(len(cols), k=1)
     d = _pair_dist(cols, iu, ju)
     order = np.lexsort((ju, iu, d))

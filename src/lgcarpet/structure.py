@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .carpet import CarpetSpec, _max_cylinders, _walk, _word_matrix
+from .carpet import CarpetSpec, _budget, _walk, _whole, _word_matrix
 from .errors import (
-    BudgetExceeded,
     CodingsNotDiverging,
     EmptyAttractor,
     EmptyInput,
@@ -140,14 +139,11 @@ def _ifs_cover(steps, what: str) -> IntervalSet:
 
     A step is the merged union of offset[g] + scale[g] * I over the maps g and
     the intervals I of the cover so far.  The one budget rule: a step of more
-    than `_max_cylinders()` image intervals is refused before it is built.
+    image intervals than `_budget` allows is refused before it is built.
     """
-    cap = _max_cylinders()
     cover = IntervalSet(((0.0, 1.0),))
     for scale, offset in steps:
-        if len(cover) * len(scale) > cap:
-            raise BudgetExceeded(
-                f"{what}: {len(cover)} intervals x {len(scale)} maps exceeds cap {cap}")
+        _budget(len(cover) * len(scale), f"{what}: {len(cover)} intervals x {len(scale)} maps")
         scale, offset = scale[:, None], offset[:, None]
         cover = _merge((offset + scale * cover.lo).ravel(), (offset + scale * cover.hi).ravel())
     return cover
@@ -202,11 +198,10 @@ def project_F(spec: CarpetSpec) -> ProjectionIFS:
 def projection_approx(spec: CarpetSpec, depth: int) -> IntervalSet:
     """Depth-k interval cover of the projection: the union of the images of
     [0, 1] under all row words of length k, one IFS step per digit."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _whole(depth, 0, "depth")
     proj = project_F(spec)
     maps = np.array(proj.ratios), np.array(proj.offsets)
-    return _ifs_cover([maps] * depth, f"projection at depth {depth}")
+    return _ifs_cover([maps] * int(depth), f"projection at depth {depth}")
 
 
 def _projection_bounds(spec: CarpetSpec, depth: int) -> np.ndarray:
@@ -236,10 +231,11 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
     leave y = 1 outside the projection.  Strips narrower than RESOLUTION_FLOOR
     cannot be told apart in floats (their computed boundaries carry comparable
     rounding error), so from there on each branch is extended canonically
-    with the smallest row symbol instead of testing membership.
+    with the smallest row symbol instead of testing membership, in one step
+    once every branch is that narrow.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _whole(depth, 1, "depth")
+    depth = int(depth)
     proj = project_F(spec)
     if not 0.0 <= y <= 1.0:
         raise NotInProjection(f"y={y} outside [0, 1]")
@@ -247,6 +243,10 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
     tol = 1e-15
     active: list[tuple[Coding, float, float, float]] = [((), 0.0, 1.0, 1.0)]
     for level in range(depth):
+        if all(s < RESOLUTION_FLOOR for _, _, s, _ in active):
+            tail = (proj.rows[0],) * (depth - level)
+            active = [(digits + tail, lo, s, hi) for digits, lo, s, hi in active]
+            break
         nxt = []
         for digits, lo, s, hi in active:
             if s < RESOLUTION_FLOOR:

@@ -171,7 +171,7 @@ class TestCurve:
         # the finest sample, 1/27, has 64 stopping cylinders
         monkeypatch.setenv("LG_MAX_CYLINDERS", "64")
         assert len(lg.n_delta_curve(cd, 1 / 3, 1 / 27, 64).samples) == 64
-        with pytest.raises(BudgetExceeded, match="65 steps exceeds cap 64$"):
+        with pytest.raises(BudgetExceeded, match="^box-count curve: 65 steps exceeds cap 64$"):
             lg.n_delta_curve(cd, 1 / 3, 1 / 27, 65)
 
 
@@ -203,3 +203,14 @@ class TestRenderSvg:
             lg.render_svg(mcm)
         with pytest.raises(ValueError):
             lg.render_svg(mcm, depth=1, delta=0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"size": -5}, "size must be >= 1, got -5"),
+        ({"size": 0}, "size must be >= 1, got 0"),
+        ({"size": 2.5}, "size must be a finite whole number, got 2.5"),
+        ({"depth": math.nan}, "depth must be >= 0, got nan"),
+        ({"depth": 2.5}, "depth must be a finite whole number, got 2.5"),
+    ], ids=["size=-5", "size=0", "size=2.5", "depth=nan", "depth=2.5"])
+    def test_bad_size_or_depth(self, cd, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lg.render_svg(cd, **{"depth": 1, **kwargs})

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import lgcarpet as lg
 from lgcarpet import synth
 from lgcarpet.carpet import _real
-from lgcarpet.errors import BudgetExceeded, InvalidDigit, SchemaError
+from lgcarpet.errors import BudgetExceeded, InvalidDigit, InvalidSetting, SchemaError
 
 
 def rows_dict(rows):
@@ -326,6 +326,13 @@ class TestEnumeration:
     def test_negative_depth(self, mcm):
         with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
             lg.enumerate_depth(mcm, -1)
+        # refused before the walk: no level equals such a depth, so it would run to the cap
+        for depth, message in [(2.5, "a finite whole number, got 2.5"),
+                               (math.inf, "a finite whole number, got inf"),
+                               (math.nan, ">= 0, got nan")]:
+            with pytest.raises(ValueError, match=f"^depth must be {message}$"):
+                lg.enumerate_depth(mcm, depth)
+        assert len(lg.enumerate_depth(mcm, 3.0)) == 27
 
     def test_stopping_cd_one_third(self, cd):
         cyls = lg.enumerate_stopping(cd, 1 / 3)
@@ -374,14 +381,15 @@ class TestEnumeration:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "81")
         assert len(lg.enumerate_depth(mcm, 4)) == 81
         monkeypatch.setenv("LG_MAX_CYLINDERS", "80")
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^depth 4 exceeds cap 80 by length 4$"):
             lg.enumerate_depth(mcm, 4)
 
     def test_budget_refused_at_overflowing_level(self, mcm, monkeypatch):
         # 3**5 live words at length 5 already exceed the cap; the set itself
         # would have 3**997 words
         monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
-        with pytest.raises(BudgetExceeded, match="by length 5$"):
+        with pytest.raises(BudgetExceeded,
+                           match="^stopping set at delta=1e-300 exceeds cap 100 by length 5$"):
             lg.enumerate_stopping(mcm, 1e-300)
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
@@ -401,6 +409,24 @@ class TestEnumeration:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "10")
         with pytest.raises(BudgetExceeded):
             lg.enumerate_depth(mcm, 4)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_budget_setting_refused_by_every_gate(self, mcm, monkeypatch, value):
+        monkeypatch.setenv("LG_MAX_CYLINDERS", value)
+        calls = [
+            lambda: lg.enumerate_depth(mcm, 0),  # the cylinder walk
+            lambda: lg.row_stopping_words(mcm, 0.5),  # the row walk
+            lambda: lg.projection_approx(mcm, 1),  # the interval cover
+            lambda: lg.fiber_approx(mcm, (1,)),
+            lambda: lg.build_epsilon_chain(mcm, 0.5),  # the chain's points
+            lambda: lg.n_delta_curve(mcm, 0.5, 0.25, 2),  # the curve's steps
+        ]
+        for call in calls:
+            with pytest.raises(InvalidSetting,
+                               match=f"^LG_MAX_CYLINDERS must be an integer >= 1, got '{value}'$"):
+                call()
+        # a cover of no steps builds nothing, so it consults no budget
+        assert lg.projection_approx(mcm, 0).intervals == ((0.0, 1.0),)
 
     def test_empty_attractor(self):
         spec = lg.spec_from_dict(rows_dict([(0.5, []), (0.5, [])]))

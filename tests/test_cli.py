@@ -423,17 +423,25 @@ class TestBudgetAndUsage:
         assert out == ""
         assert err.startswith("error: InvalidSetting: LG_MAX_CYLINDERS")
         assert err.count("\n") == 1
+        # fibers checks its depth against the cap before it builds the coding
+        code, out, err = run(capsys, ["fibers", MCM, "--coding", "1", "--depth", "1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidSetting: LG_MAX_CYLINDERS must be an integer >= 1, got {value!r}\n"
 
     @pytest.mark.parametrize("argv", [
         ["boxcount", CD, "--delta-max", "0.5", "--delta-min", "1e-3", "--steps", "1000000000"],
         ["fibers", MCM, "--coding", "1", "--depth", "1000000000"],
         ["chain", MCM, "--epsilon", "1e-9"],
     ])
-    def test_count_over_cap_fails_closed(self, capsys, argv):
+    def test_count_over_cap_fails_closed(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: BudgetExceeded: ")
-        assert err.count("\n") == 1
+        assert err == "error: BudgetExceeded: " + {
+            "boxcount": "box-count curve: 1000000000 steps",
+            "fibers": "fibers: depth 1000000000",
+            "chain": "epsilon chain: 2000000002 points",
+        }[argv[0]] + " exceeds cap 10000000\n"
 
     def test_check_ud_chain_under_cap(self, capsys, monkeypatch):
         # with no empty row, check-ud builds a 22-point chain
@@ -442,7 +450,7 @@ class TestBudgetAndUsage:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "21")
         code, _, err = run(capsys, ["check-ud", MCM])
         assert code == 1
-        assert err.startswith("error: BudgetExceeded: epsilon chain: 22 points")
+        assert err == "error: BudgetExceeded: epsilon chain: 22 points exceeds cap 21\n"
 
     def test_removed_depth_pad_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["chain", MCM, "--epsilon", "0.5", "--depth-pad", "20"])

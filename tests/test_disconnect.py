@@ -134,6 +134,14 @@ class TestSeparationCertificate:
     def test_bad_max_depth(self, cd):
         with pytest.raises(ValueError):
             lg.certify_totally_disconnected(cd, max_depth=0)
+        for max_depth, message in [(2.5, "a finite whole number, got 2.5"),
+                                   (math.inf, "a finite whole number, got inf"),
+                                   (math.nan, ">= 1, got nan")]:
+            for check in (lg.certify_totally_disconnected, lg.check_uniform_disconnectedness):
+                with pytest.raises(ValueError, match=f"^max_depth must be {message}$"):
+                    check(cd, max_depth=max_depth)
+        assert (lg.check_uniform_disconnectedness(cd, max_depth=3.0)
+                == lg.check_uniform_disconnectedness(cd, max_depth=3))
 
     @pytest.mark.parametrize("cap, want", [
         # depth 1 (two cylinders) is already over the cap
@@ -186,7 +194,7 @@ class TestEpsilonChain:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "22")
         assert len(lg.build_epsilon_chain(mcm, 0.1).points) == 22
         monkeypatch.setenv("LG_MAX_CYLINDERS", "21")
-        with pytest.raises(BudgetExceeded, match="22 points exceeds cap 21$"):
+        with pytest.raises(BudgetExceeded, match="^epsilon chain: 22 points exceeds cap 21$"):
             lg.build_epsilon_chain(mcm, 0.1)
 
     def test_pinned_shapes(self, mcm):
@@ -222,7 +230,7 @@ class TestEpsilonChain:
         # ratio 0.96 gives a word T of 74 digits at epsilon0 = 0.1
         spec = two_row_spec(0.48)
         monkeypatch.setenv("LG_MAX_CYLINDERS", "73")
-        with pytest.raises(BudgetExceeded, match="word T longer than cap 73$"):
+        with pytest.raises(BudgetExceeded, match="^epsilon chain: word T longer than cap 73$"):
             lg.build_epsilon_chain(spec, 0.1)
         monkeypatch.setenv("LG_MAX_CYLINDERS", "74")
         with pytest.raises(VerificationFailed, match=r"word T \(length 74\)"):

@@ -6,6 +6,7 @@ operations are pinned against hand-computed values on the canonical specs.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -240,6 +241,9 @@ class TestProjection:
     def test_negative_depth(self, cd):
         with pytest.raises(ValueError, match="depth must be >= 0"):
             lg.projection_approx(cd, -1)
+        with pytest.raises(ValueError, match="^depth must be a finite whole number, got 2.5$"):
+            lg.projection_approx(cd, 2.5)
+        assert lg.projection_approx(cd, 3.0).intervals == lg.projection_approx(cd, 3).intervals
 
     def test_empty_attractor(self):
         spec = lg.CarpetSpec((lg.RowSpec(0.5, ()), lg.RowSpec(0.5, ())))
@@ -253,7 +257,8 @@ class TestProjection:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "32")
         assert len(lg.projection_approx(cd, 5)) == 32
         monkeypatch.setenv("LG_MAX_CYLINDERS", "31")
-        with pytest.raises(BudgetExceeded, match="16 intervals x 2 maps exceeds cap 31$"):
+        with pytest.raises(BudgetExceeded,
+                           match="^projection at depth 5: 16 intervals x 2 maps exceeds cap 31$"):
             lg.projection_approx(cd, 5)
 
 
@@ -299,6 +304,17 @@ class TestYCodings:
     def test_depth_domain(self, cd):
         with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
             lg.y_codings(cd, 0.0, 0)
+        with pytest.raises(ValueError, match="^depth must be a finite whole number, got 2.5$"):
+            lg.y_codings(cd, 0.0, 2.5)
+        assert lg.y_codings(cd, 0.1, 5.0) == lg.y_codings(cd, 0.1, 5)
+
+    def test_deep_codings_past_the_resolution_floor(self, mcm):
+        # MCM's strips pass RESOLUTION_FLOOR at level 47; from there every
+        # branch only appends the smallest row
+        start = time.perf_counter()
+        deep = lg.y_codings(mcm, 0.3, 100000)
+        assert time.perf_counter() - start < 1.0
+        assert deep == [coding + (1,) * (100000 - 60) for coding in lg.y_codings(mcm, 0.3, 60)]
 
     def test_hole_raises(self, cd):
         with pytest.raises(NotInProjection):
@@ -356,7 +372,8 @@ class TestFibers:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "64")
         assert len(lg.fiber_approx(cd, (1, 3) * 3)) == 64
         monkeypatch.setenv("LG_MAX_CYLINDERS", "63")
-        with pytest.raises(BudgetExceeded, match="32 intervals x 2 maps exceeds cap 63$"):
+        with pytest.raises(BudgetExceeded,
+                           match="^fiber at depth 10: 32 intervals x 2 maps exceeds cap 63$"):
             lg.fiber_approx(cd, (1, 3) * 5)
 
     def test_budget_counts_merged_intervals(self, monkeypatch):
@@ -546,7 +563,8 @@ class TestRowStoppingWords:
 
     def test_budget(self, cd, monkeypatch):
         monkeypatch.setenv("LG_MAX_CYLINDERS", "50")
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded,
+                           match="^row stopping set at delta=1e-08 exceeds cap 50 by length 6$"):
             lg.row_stopping_words(cd, 1e-8)
 
     @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
