@@ -46,13 +46,17 @@ def approx_set(spec: CarpetSpec, delta: float) -> Cylinders:
     return enumerate_stopping(spec, delta)
 
 
-def _grid_indices(vals: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _grid_index(vals: np.ndarray, delta: float, upper: bool = False) -> np.ndarray:
     """Cell index of each coordinate as a float64 integer (inf once vals / delta
-    overflows), plus a mask of values exactly on a line."""
+    overflows): q = vals / delta, snapped to rint(q) when within GRID_SNAP *
+    max(1, |q|) of it, then floored.  An `upper` edge snapped onto a line takes
+    the cell below it (a rect's span is clamped to at least its lower cell)."""
     q = vals / delta
-    r = np.rint(q)
-    on_line = np.abs(q - r) <= GRID_SNAP * np.maximum(1.0, np.abs(q))
-    return np.floor(np.where(on_line, r, q)), on_line
+    on_line = np.abs(q - np.rint(q)) <= GRID_SNAP * np.maximum(np.abs(q), 1.0)
+    np.floor(np.rint(q, out=q, where=on_line), out=q)
+    if upper:
+        np.subtract(q, 1.0, out=q, where=on_line)
+    return q
 
 
 def count_grid_cells(rects, delta: float) -> int:
@@ -68,30 +72,25 @@ def count_grid_cells(rects, delta: float) -> int:
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
     cols = Rects.of(rects)
-    x0, y0, x1, y1 = cols.x0, cols.y0, cols.x1, cols.y1
 
-    # A fine enough grid overflows indices to inf; u1 > u0 keeps inf - inf out.
+    # A fine enough grid overflows indices to inf; fmax maps inf - inf (NaN) to 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        u0, _ = _grid_indices(x0, delta)
-        v0, _ = _grid_indices(y0, delta)
-        u1, on_u = _grid_indices(x1, delta)
-        v1, on_v = _grid_indices(y1, delta)
-        u1 = np.where(on_u & (x1 > x0), u1 - 1, u1)
-        v1 = np.where(on_v & (y1 > y0), v1 - 1, v1)
-        rows = np.where(v1 > v0, v1 - v0, 0.0) + 1.0
-        spans = (np.where(u1 > u0, u1 - u0, 0.0) + 1.0) * rows
+        u0, v0 = _grid_index(cols.x0, delta), _grid_index(cols.y0, delta)
+        rows = np.fmax(_grid_index(cols.y1, delta, upper=True) - v0, 0.0) + 1.0
+        spans = (np.fmax(_grid_index(cols.x1, delta, upper=True) - u0, 0.0) + 1.0) * rows
     total = float(spans.sum())
     if not total <= MAX_GRID_CELLS:
         raise BudgetExceeded(f"grid count at delta={delta} touches {total:.0f} cells")
     if not (np.abs([u0, v0]) < 2.0**53).all():  # past 2**53 a float is no exact cell index
         raise ValueError(f"delta={delta} is finer than float64 resolves the rect coordinates")
-    u0, v0 = u0.astype(np.int64), v0.astype(np.int64)
-    rows, spans, total = rows.astype(np.int64), spans.astype(np.int64), int(total)
+    spans, total = spans.astype(np.int64), int(total)
     # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows); count distinct
     # (u, v) pairs by sorting, since a linear key u * V + v overflows int64.
-    rect = np.repeat(np.arange(len(spans)), spans)
-    k = np.arange(total) - np.repeat(np.cumsum(spans) - spans, spans)
-    u, v = u0[rect] + k // rows[rect], v0[rect] + k % rows[rect]
+    u, v = np.divmod(np.arange(total) - np.repeat(np.cumsum(spans) - spans, spans),
+                     np.repeat(rows.astype(np.int64), spans))
+    u += np.repeat(u0.astype(np.int64), spans)
+    v += np.repeat(v0.astype(np.int64), spans)
+    del u0, v0, rows, spans
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     return int(total > 0) + int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1])))
@@ -108,10 +107,9 @@ def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,
     if not 0.0 < delta_min < delta_max <= 1.0:
         raise ValueError(
             f"need 0 < delta_min < delta_max <= 1, got {delta_min}, {delta_max}")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    _whole(steps, 2, "steps")
     _budget(steps, f"box-count curve: {steps} steps")
-    deltas = np.geomspace(delta_max, delta_min, steps)
+    deltas = np.geomspace(delta_max, delta_min, int(steps))
     return NDeltaCurve(tuple((float(d), box_count(spec, float(d))) for d in deltas))
 
 

@@ -11,10 +11,11 @@ and the attractor is the unique compact set E with E = union of S_ij(E).
 Cylinders are images of the unit square under finite digit words.
 
 Cylinder families (all words of one length, or the stopping set of a scale)
-come from one breadth-first walk of the word tree, one numpy broadcast per
-level, as float64 rect columns (`Rects`, the one rect layout the package
-computes on), not as one Python object per word; the digit-index matrix of
-the words is assembled from the walk's level columns only when read.
+come from one breadth-first walk of the word tree (per level, one `np.repeat`
+of the parent columns and one in-place multiply-add) as float64 rect columns
+(`Rects`, the one rect layout the package computes on), not as one Python
+object per word; the digit-index matrix of the words is assembled from the
+walk's level columns only when read.
 """
 
 from __future__ import annotations
@@ -410,16 +411,19 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
 
     Digit g maps axis k by u -> scale[k, g] * u + offset[k, g]; the last axis
     is the height.  A word stops at length `depth`, or else once it is
-    nonempty with height product <= delta.  Each level keeps stopped rows in
-    place and replaces each live row by its children, so rows stay in
-    lexicographic order; t + s * offset[g] and s * scale[g] are word_map's
-    float operations in its order.  Every live word has a stopping descendant,
-    so the cap refuses exactly the sets above it, before they are built.
-    Returns the words' digit column of each level, digit indices padded with
-    -1 in the smallest signed dtype that holds them (`_word_matrix` assembles
-    the words from them), and the words' s, t columns.
+    nonempty with height product <= delta.  Each level repeats a stopped row
+    once and a live row once per child, so rows stay in lexicographic order;
+    t += s * offset[g] and s *= scale[g] are word_map's float operations in
+    its order.  A stopped row's digit -1 reads an appended identity column
+    (scale 1, offset 0), which keeps its finite s and t bit for bit: t starts
+    at +0.0, and a sum is -0.0 only if both terms are.  Every live word has a
+    stopping descendant, so the cap refuses exactly the sets above it, before
+    they are built.  Returns the words' digit column of each level, digit
+    indices padded with -1 in the smallest signed dtype that holds them
+    (`_word_matrix` assembles the words from them), and the words' s, t columns.
     """
     axes, g = scale.shape
+    scale, offset = np.c_[scale, np.ones(axes)], np.c_[offset, np.zeros(axes)]
     columns, dtype = [], np.min_scalar_type(-g)
     s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
     for level in itertools.count():
@@ -428,12 +432,16 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
         _budget(grow.sum(), what, f" by length {level + 1}")
         if not live.any():
             return columns, s, t
-        parent = np.repeat(np.arange(len(live)), grow)
-        digit = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
-        live = live[parent]
-        columns.append(np.where(live, digit, -1).astype(dtype))
-        t = np.where(live, t[:, parent] + s[:, parent] * offset[:, digit], t[:, parent])
-        s = np.where(live, s[:, parent] * scale[:, digit], s[:, parent])
+        column = (np.arange(grow.sum()) - np.repeat(np.cumsum(grow) - grow, grow)).astype(dtype)
+        live = np.repeat(live, grow)
+        column[~live] = -1
+        columns.append(column)
+        s, t = np.repeat(s, grow, axis=1), np.repeat(t, grow, axis=1)
+        step = offset[:, column]
+        step *= s
+        t += step
+        del step
+        s *= scale[:, column]
 
 
 def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:

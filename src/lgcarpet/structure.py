@@ -271,6 +271,8 @@ def _check_coding(spec: CarpetSpec, coding: Coding) -> None:
     if not coding:
         raise InvalidCoding("coding is empty")
     for i in coding:
+        if not isinstance(i, (int, np.integer)):
+            raise InvalidCoding(f"row {i!r} is not an integer")
         if not 1 <= i <= spec.m:
             raise InvalidCoding(f"row {i} out of range 1..{spec.m}")
         if not spec.rows[i - 1].cells:

@@ -1,17 +1,17 @@
 """Half-open box counting, approximation sets, covering curves, SVG output."""
 
+import itertools
 import math
 import re
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
 from lgcarpet import Rect, synth
-from lgcarpet.approx import _grid_indices
-from lgcarpet.carpet import Rects
+from lgcarpet.approx import GRID_SNAP
 from lgcarpet.errors import BudgetExceeded
 
 finite = st.floats(min_value=0.0, max_value=0.9, allow_nan=False)
@@ -23,20 +23,25 @@ wide_rects = st.lists(st.builds(Rect, on_lines, on_lines, st.sampled_from([0.0, 
                                 st.sampled_from([0.0, 0.1, 0.3]) | extent), max_size=12)
 
 
+def cell_index(value, delta, lower=None):
+    """One coordinate's cell by the documented rule, in plain Python floats:
+    q = value / delta is snapped to round(q) when |q - round(q)| <= GRID_SNAP *
+    max(1, |q|), then floored; an upper edge snapped onto a line above its
+    lower edge takes the cell below."""
+    q = value / delta
+    r = round(q)
+    on_line = abs(q - r) <= GRID_SNAP * max(1.0, abs(q))
+    cell = math.floor(r if on_line else q)
+    return cell - 1 if on_line and lower is not None and value > lower else cell
+
+
 def set_count(rects, delta):
     """The grid count one cell at a time into a Python set, as an oracle."""
-    cols = Rects.of(rects)
-    u0, _ = _grid_indices(cols.x0, delta)
-    v0, _ = _grid_indices(cols.y0, delta)
-    u1, on_u = _grid_indices(cols.x1, delta)
-    v1, on_v = _grid_indices(cols.y1, delta)
-    u1 = np.maximum(np.where(on_u & (cols.x1 > cols.x0), u1 - 1, u1), u0)
-    v1 = np.maximum(np.where(on_v & (cols.y1 > cols.y0), v1 - 1, v1), v0)
     cells = set()
-    for a0, a1, b0, b1 in zip(u0, u1, v0, v1):
-        for u in range(int(a0), int(a1) + 1):
-            for v in range(int(b0), int(b1) + 1):
-                cells.add((u, v))
+    for r in rects:
+        u0, v0 = cell_index(r.x0, delta), cell_index(r.y0, delta)
+        u1, v1 = cell_index(r.x1, delta, r.x0), cell_index(r.y1, delta, r.y0)
+        cells.update(itertools.product(range(u0, max(u0, u1) + 1), range(v0, max(v0, v1) + 1)))
     return len(cells)
 
 
@@ -72,6 +77,11 @@ class TestCountGridCells:
         # within relative 1e-9 of a line counts as on it
         r = Rect(0.0, 0.0, 1 / 3 - 1e-12, 1 / 3 - 1e-12)
         assert lg.count_grid_cells([r], 1 / 3) == 1
+
+    def test_snap_is_relative(self):
+        # 700.0000001 cells wide is within 1e-9 * 700 of the line at 700
+        r = Rect(0.0, 0.0, 0.7 + 1e-10, 0.0)
+        assert lg.count_grid_cells([r], 1e-3) == set_count([r], 1e-3) == 700
 
     def test_past_grid_line(self):
         r = Rect(0.0, 0.0, 1 / 3 + 1e-3, 0.05)
@@ -130,6 +140,20 @@ class TestBoxCount:
         with pytest.raises(BudgetExceeded):
             lg.box_count(cd, 1e-9)
 
+    @pytest.mark.parametrize("name, delta", [("cd", 3.0 ** -8), ("mcm", 2.0 ** -10)], ids=["cd", "mcm"])
+    def test_bytes_per_cylinder(self, request, name, delta):
+        # the walk and the grid count hold no gathered copies or np.where
+        # temporaries: peak traced allocation stays under 140 B per cylinder
+        spec = request.getfixturevalue(name)
+        cylinders = len(lg.approx_set(spec, delta))
+        tracemalloc.start()
+        try:
+            lg.box_count(spec, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cylinders <= 140
+
 
 class TestApproxSet:
     def test_fields(self, cd):
@@ -162,10 +186,16 @@ class TestCurve:
         (1 / 27, 1 / 3, 5, "need 0 < delta_min < delta_max <= 1"),
         (1 / 9, 1 / 9, 5, "need 0 < delta_min < delta_max <= 1"),
         (1 / 3, 1 / 27, 1, "steps must be >= 2, got 1"),
+        (1 / 3, 1 / 27, math.nan, "steps must be >= 2, got nan"),
+        (1 / 3, 1 / 27, 2.5, "steps must be a finite whole number, got 2.5"),
+        (1 / 3, 1 / 27, math.inf, "steps must be a finite whole number, got inf"),
     ])
     def test_domain(self, cd, delta_max, delta_min, steps, message):
         with pytest.raises(ValueError, match=message):
             lg.n_delta_curve(cd, delta_max, delta_min, steps)
+
+    def test_integral_float_steps(self, cd):
+        assert lg.n_delta_curve(cd, 1 / 3, 1 / 27, 3.0) == lg.n_delta_curve(cd, 1 / 3, 1 / 27, 3)
 
     def test_steps_budget(self, cd, monkeypatch):
         # the finest sample, 1/27, has 64 stopping cylinders

@@ -362,6 +362,16 @@ class TestFibers:
             with pytest.raises(InvalidCoding):
                 lg.fiber_approx(cd, bad)
 
+    @pytest.mark.parametrize("call", [
+        lambda cd: lg.fiber_approx(cd, [1.0, 3.0]),
+        lambda cd: lg.check_hd_bound(cd, (1, 3), (3, 1.0)),
+        lambda cd: lg.find_gap_interval(cd, (1, 3.0), (0.0, 1.0)),
+    ], ids=["fiber_approx", "check_hd_bound", "find_gap_interval"])
+    def test_float_row_digit(self, cd, call):
+        # every caller of the coding check refuses a digit that is no integer
+        with pytest.raises(InvalidCoding, match=r"^row [13]\.0 is not an integer$"):
+            call(cd)
+
     def test_budget(self, cd, monkeypatch):
         monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded):
