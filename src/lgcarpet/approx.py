@@ -3,18 +3,22 @@
 The stopping set at scale delta covers the attractor by cylinder rectangles of
 height at most delta (and width smaller than height times one row ratio), so
 counting occupied grid cells of size delta gives the covering number N_delta
-up to a bounded factor.  The cover is the `Rects` columns of the cylinder walk
-in `carpet`; the grid count and the SVG read those columns directly.
+up to a bounded factor.  `approx_set` and the SVG read the cover as the
+`Rects` columns of the cylinder walk in `carpet`; `box_count` never builds
+it, but takes the stopping rows block by block from the depth-first walk
+there and keeps only their distinct grid cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .carpet import CarpetSpec, Cylinders, Rects, _budget, _whole, enumerate_depth, enumerate_stopping
+from .carpet import (CarpetSpec, Cylinders, Rects, _budget, _digit_table, _stopping_blocks,
+                     _whole, enumerate_depth, enumerate_stopping)
 from .errors import BudgetExceeded
 
 # Relative snap applied to coordinate/delta before flooring, so that edges
@@ -39,10 +43,14 @@ class NDeltaCurve:
         return float(np.polyfit(np.log(1.0 / deltas), np.log(counts), 1)[0])
 
 
-def approx_set(spec: CarpetSpec, delta: float) -> Cylinders:
-    """The delta-stopping cylinders, as `enumerate_stopping`, for delta in (0, 1] only."""
+def _in_unit(delta: float) -> None:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
+
+
+def approx_set(spec: CarpetSpec, delta: float) -> Cylinders:
+    """The delta-stopping cylinders, as `enumerate_stopping`, for delta in (0, 1] only."""
+    _in_unit(delta)
     return enumerate_stopping(spec, delta)
 
 
@@ -59,6 +67,62 @@ def _grid_index(vals: np.ndarray, delta: float, upper: bool = False) -> np.ndarr
     return q
 
 
+class _Spans(NamedTuple):
+    """Each rect's lower-left cell u0, v0 and its span of `rows` x columns
+    cells (`spans` in all), as float64 integers, the spans int64 once their
+    sum `total` is within MAX_GRID_CELLS; `exact` says every u0, v0 is below
+    2**53, an exact cell index."""
+
+    u0: np.ndarray
+    v0: np.ndarray
+    rows: np.ndarray
+    spans: np.ndarray
+    total: float
+    exact: bool
+
+    @classmethod
+    def of(cls, cols: Rects, delta: float) -> "_Spans":
+        # A fine enough grid overflows indices to inf; fmax maps inf - inf (NaN) to 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0, v0 = _grid_index(cols.x0, delta), _grid_index(cols.y0, delta)
+            rows = np.fmax(_grid_index(cols.y1, delta, upper=True) - v0, 0.0) + 1.0
+            spans = (np.fmax(_grid_index(cols.x1, delta, upper=True) - u0, 0.0) + 1.0) * rows
+        total = float(spans.sum())
+        if total <= MAX_GRID_CELLS:  # the only spans that `cells` expands
+            spans = spans.astype(np.int64)
+        return cls(u0, v0, rows, spans, total, bool((np.abs([u0, v0]) < 2.0**53).all()))
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each rect's cells (u, v), rect by rect, as int64 columns."""
+        spans = self.spans
+        # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows).
+        u, v = np.divmod(np.arange(int(self.total)) - np.repeat(np.cumsum(spans) - spans, spans),
+                         np.repeat(self.rows.astype(np.int64), spans))
+        u += np.repeat(self.u0.astype(np.int64), spans)
+        v += np.repeat(self.v0.astype(np.int64), spans)
+        return u, v
+
+
+def _sort_cells(u: np.ndarray, v: np.ndarray):
+    """The cells (u, v) sorted by u then v, and a mask of the first of each
+    distinct cell: by sorting, since a linear key u * V + v overflows int64."""
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    del order
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u, v, first
+
+
+def _refuse_grid(total: float, exact: bool, delta: float) -> None:
+    """The grid count's own refusals: more than MAX_GRID_CELLS (cell, rect)
+    pairs, then a cell index float64 does not hold exactly."""
+    if not total <= MAX_GRID_CELLS:
+        raise BudgetExceeded(f"grid count at delta={delta} touches {total:.0f} cells")
+    if not exact:
+        raise ValueError(f"delta={delta} is finer than float64 resolves the rect coordinates")
+
+
 def count_grid_cells(rects, delta: float) -> int:
     """Distinct grid cells (anchored at the origin, size delta) meeting the rects.
 
@@ -71,34 +135,39 @@ def count_grid_cells(rects, delta: float) -> int:
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
-    cols = Rects.of(rects)
-
-    # A fine enough grid overflows indices to inf; fmax maps inf - inf (NaN) to 0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u0, v0 = _grid_index(cols.x0, delta), _grid_index(cols.y0, delta)
-        rows = np.fmax(_grid_index(cols.y1, delta, upper=True) - v0, 0.0) + 1.0
-        spans = (np.fmax(_grid_index(cols.x1, delta, upper=True) - u0, 0.0) + 1.0) * rows
-    total = float(spans.sum())
-    if not total <= MAX_GRID_CELLS:
-        raise BudgetExceeded(f"grid count at delta={delta} touches {total:.0f} cells")
-    if not (np.abs([u0, v0]) < 2.0**53).all():  # past 2**53 a float is no exact cell index
-        raise ValueError(f"delta={delta} is finer than float64 resolves the rect coordinates")
-    spans, total = spans.astype(np.int64), int(total)
-    # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows); count distinct
-    # (u, v) pairs by sorting, since a linear key u * V + v overflows int64.
-    u, v = np.divmod(np.arange(total) - np.repeat(np.cumsum(spans) - spans, spans),
-                     np.repeat(rows.astype(np.int64), spans))
-    u += np.repeat(u0.astype(np.int64), spans)
-    v += np.repeat(v0.astype(np.int64), spans)
-    del u0, v0, rows, spans
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
-    return int(total > 0) + int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1])))
+    spans = _Spans.of(Rects.of(rects), delta)
+    _refuse_grid(spans.total, spans.exact, delta)
+    u, v = spans.cells()
+    del spans
+    return int(np.count_nonzero(_sort_cells(u, v)[2]))
 
 
 def box_count(spec: CarpetSpec, delta: float) -> int:
-    """Occupied delta-grid cells of the delta-stopping approximation."""
-    return count_grid_cells(approx_set(spec, delta).rects, delta)
+    """Occupied delta-grid cells of the delta-stopping approximation, for
+    delta in (0, 1]: `count_grid_cells(approx_set(spec, delta).rects, delta)`
+    with the same refusals, in that order.
+
+    The stopping set is never built: a depth-first walk in blocks
+    (`carpet._stopping_blocks`) hands over each block's stopped rows, whose
+    distinct cells are kept and merged at the end, so memory grows with one
+    block and the distinct cells, not with the cylinders.  The walk goes on
+    past a grid refusal, so that the cylinder cap refuses first as it would
+    and the refusal names the whole count.
+    """
+    _in_unit(delta)
+    scale, offset = _digit_table(spec)
+    total, exact, us, vs = 0.0, True, [], []
+    for s, t in _stopping_blocks(scale, offset, delta, f"stopping set at delta={delta}"):
+        spans = _Spans.of(Rects(t[0], t[1], s[0], s[1]), delta)
+        total, exact = total + spans.total, exact and spans.exact
+        if total <= MAX_GRID_CELLS and exact:
+            u, v, first = _sort_cells(*spans.cells())
+            us.append(u[first])
+            vs.append(v[first])
+    _refuse_grid(total, exact, delta)
+    u, v = np.concatenate(us), np.concatenate(vs)
+    del us, vs
+    return int(np.count_nonzero(_sort_cells(u, v)[2]))
 
 
 def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,

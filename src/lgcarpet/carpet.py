@@ -15,7 +15,9 @@ come from one breadth-first walk of the word tree (per level, one `np.repeat`
 of the parent columns and one in-place multiply-add) as float64 rect columns
 (`Rects`, the one rect layout the package computes on), not as one Python
 object per word; the digit-index matrix of the words is assembled from the
-walk's level columns only when read.
+walk's level columns only when read.  A box count, which needs neither word
+order nor digits, walks the stopping set depth-first in blocks with the same
+level step instead, so it holds one block, not the whole family.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .errors import BudgetExceeded, EmptyAttractor, InvalidDigit, InvalidSetting
 
 # The one budget of every call unless LG_MAX_CYLINDERS sets another; README lists what it counts.
 DEFAULT_MAX_CYLINDERS = 10_000_000
+
+# Child rows per block of the depth-first stopping walk (`_stopping_blocks`).
+BLOCK_ROWS = 2**14
 
 # One digit is a (row, cell) pair, both 1-based; a word is a digit sequence.
 Digit = tuple[int, int]
@@ -405,6 +410,18 @@ def _whole(value, low: int, what: str) -> None:
         raise ValueError(f"{what} must be a finite whole number, got {value}")
 
 
+def _step(s: np.ndarray, t: np.ndarray, column: np.ndarray,
+          scale: np.ndarray, offset: np.ndarray) -> None:
+    """The level step of a word-tree walk, in place: row k of s, t takes
+    digit g = column[k], t += s * offset[g] and then s *= scale[g],
+    word_map's float operations in its order."""
+    step = offset[:, column]
+    step *= s
+    t += step
+    del step
+    s *= scale[:, column]
+
+
 def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
           delta: float | None = None, depth: int | None = None):
     """Breadth-first walk of the word tree of one digit table.
@@ -437,11 +454,7 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
         column[~live] = -1
         columns.append(column)
         s, t = np.repeat(s, grow, axis=1), np.repeat(t, grow, axis=1)
-        step = offset[:, column]
-        step *= s
-        t += step
-        del step
-        s *= scale[:, column]
+        _step(s, t, column, scale, offset)
 
 
 def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:
@@ -461,13 +474,55 @@ def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:
     return words
 
 
-def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
+def _stopping_blocks(scale: np.ndarray, offset: np.ndarray, delta: float, what: str):
+    """Depth-first walk of the delta-stopping words of one digit table, in blocks.
+
+    Each block takes at most max(1, BLOCK_ROWS // g) waiting live rows and
+    builds their children by `_step`, as `_walk` does, so every row is bit
+    for bit its `_walk` row; yields the s, t columns of the children that
+    stop, block by block in no set order, and keeps the others waiting.  A
+    waiting row has g children, each with a stopping descendant, so the rows
+    yielded plus g per waiting row bound the set's size from below and reach
+    it at the end: the walk refuses exactly the sets `_walk` refuses, once
+    the block that takes that bound past the cap is built, and no later.  The
+    tail names the length of that block's children, which may differ from
+    the one `_walk` names.
+    """
+    axes, g = scale.shape
+    cap, per, digits = _budget(g, what, " by length 1"), max(1, BLOCK_ROWS // g), np.arange(g)
+    waiting = [(np.ones((axes, 1)), np.zeros((axes, 1)), 1)]  # (s, t, length of children)
+    bound = g
+    while waiting:
+        s, t, length = waiting.pop()
+        n = s.shape[1]
+        if n > per:
+            waiting.append((s[:, :n - per], t[:, :n - per], length))
+            s, t, n = s[:, n - per:], t[:, n - per:], per
+        s, t = np.repeat(s, g, axis=1), np.repeat(t, g, axis=1)
+        _step(s, t, np.tile(digits, n), scale, offset)
+        stop = s[-1] <= delta
+        bound += (g - 1) * (n * g - int(np.count_nonzero(stop)))
+        if bound > cap:
+            _budget(bound, what, f" by length {length}")
+        if stop.any():
+            yield s[:, stop], t[:, stop]
+        if not stop.all():
+            waiting.append((s[:, ~stop], t[:, ~stop], length + 1))
+
+
+def _digit_table(spec: CarpetSpec):
+    """Scale and offset of each digit's map, x axis over y axis, one column
+    per digit of `spec.digits`; an all-empty spec has no attractor."""
     if not spec.digits:
         raise EmptyAttractor("every row is empty")
     cells, rows = [spec.cell(i, j) for i, j in spec.digits], [i - 1 for i, _ in spec.digits]
     scale = np.array([[c.a for c in cells], [spec.rows[i].b for i in rows]])
     offset = np.array([[c.c for c in cells], [spec.d[i] for i in rows]])
-    columns, s, t = _walk(scale, offset, what, **stop)
+    return scale, offset
+
+
+def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
+    columns, s, t = _walk(*_digit_table(spec), what, **stop)
     return Cylinders(spec.digits, columns, Rects(t[0], t[1], s[0], s[1]))
 
 

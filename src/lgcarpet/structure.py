@@ -139,11 +139,14 @@ def _ifs_cover(steps, what: str) -> IntervalSet:
 
     A step is the merged union of offset[g] + scale[g] * I over the maps g and
     the intervals I of the cover so far.  The one budget rule: a step of more
-    image intervals than `_budget` allows is refused before it is built.
+    image intervals than `_budget` allows is refused before it is built.  The
+    cap is read at the first step; a later step calls `_budget` only to refuse.
     """
-    cover = IntervalSet(((0.0, 1.0),))
+    cover, cap = IntervalSet(((0.0, 1.0),)), 0
     for scale, offset in steps:
-        _budget(len(cover) * len(scale), f"{what}: {len(cover)} intervals x {len(scale)} maps")
+        images = len(cover) * len(scale)
+        if images > cap:
+            cap = _budget(images, f"{what}: {len(cover)} intervals x {len(scale)} maps")
         scale, offset = scale[:, None], offset[:, None]
         cover = _merge((offset + scale * cover.lo).ravel(), (offset + scale * cover.hi).ravel())
     return cover

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
-from lgcarpet import Rect, synth
+from lgcarpet import Rect, approx, carpet, synth
 from lgcarpet.approx import GRID_SNAP
 from lgcarpet.errors import BudgetExceeded
 
@@ -139,6 +139,92 @@ class TestBoxCount:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded):
             lg.box_count(cd, 1e-9)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_edges(self, request, monkeypatch, block):
+        # blocks this small cut through every level; each count is still the
+        # grid count of the whole stopping set
+        ladders = [("cd", 3, 5), ("mcm", 2, 7), ("mixed", 2, 8), ("touching", 2, 8)]
+        cases = [(request.getfixturevalue(name), float(base) ** -k)
+                 for name, base, top in ladders for k in range(1, top + 1)]
+        cases += [(synth.random_grid_spec(seed), delta)
+                  for seed in range(0, 60, 3) for delta in (1.0, 0.3, 0.05)]
+        monkeypatch.setattr(carpet, "BLOCK_ROWS", block)
+        for spec, delta in cases:
+            want = lg.count_grid_cells(lg.approx_set(spec, delta).rects, delta)
+            assert lg.box_count(spec, delta) == want, (spec, delta)
+
+    @pytest.mark.parametrize("block, deltas", [(3, (0.3, 0.1)), (2**14, (0.3, 0.05, 0.02))])
+    def test_refusal_parity(self, monkeypatch, block, deltas):
+        # the block walk refuses exactly the stopping sets the level walk refuses
+        monkeypatch.setattr(carpet, "BLOCK_ROWS", block)
+        for seed in range(0, 60, 3):
+            spec = synth.random_grid_spec(seed)
+            for delta in deltas:
+                monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
+                size = len(lg.enumerate_stopping(spec, delta))
+                count = lg.box_count(spec, delta)
+                monkeypatch.setenv("LG_MAX_CYLINDERS", str(size))
+                assert lg.box_count(spec, delta) == count
+                if size == 1:
+                    continue
+                monkeypatch.setenv("LG_MAX_CYLINDERS", str(size - 1))
+                text = f"^stopping set at delta={delta} exceeds cap {size - 1} by length "
+                for call in (lg.enumerate_stopping, lg.box_count):
+                    with pytest.raises(BudgetExceeded, match=text):
+                        call(spec, delta)
+
+    @pytest.mark.parametrize("cap, levels, blocks", [(20000, 10, 9), (300000, 12, 17)])
+    def test_refusal_names_block_length(self, mcm, monkeypatch, cap, levels, blocks):
+        # the level walk names the first level wider than the cap; the block
+        # walk names the length of the block that took its bound past it,
+        # which counts a waiting row as its 3 children and goes deep first
+        monkeypatch.setenv("LG_MAX_CYLINDERS", str(cap))
+        text = f"^stopping set at delta=1e-300 exceeds cap {cap} by length "
+        with pytest.raises(BudgetExceeded, match=f"{text}{levels}$"):
+            lg.enumerate_stopping(mcm, 1e-300)
+        with pytest.raises(BudgetExceeded, match=f"{text}{blocks}$"):
+            lg.box_count(mcm, 1e-300)
+
+    def test_grid_refusals(self, cd, monkeypatch):
+        # the grid cap counts the whole set, not one block; past it, the walk
+        # goes on, so the refusal names the count over every block
+        monkeypatch.setattr(approx, "MAX_GRID_CELLS", 1000)
+        rects = lg.approx_set(cd, 3.0 ** -6).rects
+        with pytest.raises(BudgetExceeded) as want:
+            lg.count_grid_cells(rects, 3.0 ** -6)
+        monkeypatch.setattr(carpet, "BLOCK_ROWS", 64)
+        with pytest.raises(BudgetExceeded) as got:
+            lg.box_count(cd, 3.0 ** -6)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "grid count at delta=0.0013717421124828531 touches 4992 cells"
+        # a point carpet at the top of the square: at 1e-17 one cylinder, but
+        # no exact float64 cell index
+        top = lg.spec_from_dict({"rows": [{"b": 0.5, "cells": []},
+                                          {"b": 0.5, "cells": [{"a": 0.25, "c": 0.75}]}]})
+        with pytest.raises(ValueError, match="finer than float64"):
+            lg.box_count(top, 1e-17)
+
+    def test_empty_attractor(self):
+        spec = lg.spec_from_dict({"rows": [{"b": 0.5, "cells": []}, {"b": 0.5, "cells": []}]})
+        with pytest.raises(lg.errors.EmptyAttractor):
+            lg.box_count(spec, 0.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
+    def test_delta_domain(self, cd, bad):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+            lg.box_count(cd, bad)
+
+    def test_memory_is_one_block_and_the_cells(self, cd):
+        # 262144 cylinders, 147456 distinct cells: the whole stopping set and
+        # its grid count peaked at 29.9 MB; a block and the cells stay near 7 MB
+        tracemalloc.start()
+        try:
+            lg.box_count(cd, 3.0 ** -9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     @pytest.mark.parametrize("name, delta", [("cd", 3.0 ** -8), ("mcm", 2.0 ** -10)], ids=["cd", "mcm"])
     def test_bytes_per_cylinder(self, request, name, delta):

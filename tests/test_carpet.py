@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
-from lgcarpet import synth
+from lgcarpet import carpet, synth
 from lgcarpet.carpet import _real
 from lgcarpet.errors import BudgetExceeded, InvalidDigit, InvalidSetting, SchemaError
 
@@ -369,6 +369,23 @@ class TestEnumeration:
         want = reference_cylinders(spec, lambda word, h: len(word) == depth)
         assert list(lg.enumerate_depth(spec, depth)) == want
 
+    @pytest.mark.parametrize("block", [1, 3, 64, 2**14])
+    def test_stopping_blocks_are_the_stopping_set(self, cd, mcm, mixed, touching,
+                                                  monkeypatch, block):
+        # every stopping row once and bit for bit, wherever the block edges fall
+        monkeypatch.setattr(carpet, "BLOCK_ROWS", block)
+        cases = [(cd, 3.0 ** -4), (mcm, 2.0 ** -6), (mixed, 0.01), (touching, 2.0 ** -6)]
+        cases += [(synth.random_grid_spec(seed), delta)
+                  for seed in range(0, 30, 3) for delta in (1.0, 0.3, 0.05)]
+        for spec, delta in cases:
+            rects = lg.enumerate_stopping(spec, delta).rects
+            want = np.stack([rects.x0, rects.y0, rects.w, rects.h])
+            blocks = carpet._stopping_blocks(*carpet._digit_table(spec), delta, "stopping set")
+            got = np.concatenate([np.concatenate([t, s]) for s, t in blocks], axis=1)
+            assert got.shape == want.shape
+            got, want = got[:, np.lexsort(got[::-1])], want[:, np.lexsort(want[::-1])]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_budget_is_exact(self, mcm, mixed, monkeypatch):
         for spec, delta in ((mcm, 0.2), (mixed, 0.01)):
             monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
@@ -420,6 +437,7 @@ class TestEnumeration:
             lambda: lg.fiber_approx(mcm, (1,)),
             lambda: lg.build_epsilon_chain(mcm, 0.5),  # the chain's points
             lambda: lg.n_delta_curve(mcm, 0.5, 0.25, 2),  # the curve's steps
+            lambda: lg.box_count(mcm, 0.5),  # the block walk
         ]
         for call in calls:
             with pytest.raises(InvalidSetting,
