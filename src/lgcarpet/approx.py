@@ -5,8 +5,8 @@ height at most delta (and width smaller than height times one row ratio), so
 counting occupied grid cells of size delta gives the covering number N_delta
 up to a bounded factor.  `approx_set` and the SVG read the cover as the
 `Rects` columns of the cylinder walk in `carpet`; `box_count` never builds
-it, but takes the stopping rows block by block from the depth-first walk
-there and keeps only their distinct grid cells.
+it, but takes the stopping rows piece by piece from the same walk's bounded
+runs and keeps only their distinct grid cells.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .carpet import (CarpetSpec, Cylinders, Rects, _budget, _digit_table, _stopping_blocks,
-                     _whole, enumerate_depth, enumerate_stopping)
+from .carpet import (CarpetSpec, Cylinders, Rects, _budget, _digit_table, _walk, _whole,
+                     enumerate_depth, enumerate_stopping)
 from .errors import BudgetExceeded
 
 # Relative snap applied to coordinate/delta before flooring, so that edges
@@ -147,17 +147,17 @@ def box_count(spec: CarpetSpec, delta: float) -> int:
     delta in (0, 1]: `count_grid_cells(approx_set(spec, delta).rects, delta)`
     with the same refusals, in that order.
 
-    The stopping set is never built: a depth-first walk in blocks
-    (`carpet._stopping_blocks`) hands over each block's stopped rows, whose
-    distinct cells are kept and merged at the end, so memory grows with one
-    block and the distinct cells, not with the cylinders.  The walk goes on
-    past a grid refusal, so that the cylinder cap refuses first as it would
-    and the refusal names the whole count.
+    The stopping set is never built: the walk's bounded runs (`carpet._walk`)
+    hand over the stopped rows of one piece at a time, whose distinct cells
+    are kept and merged at the end, so memory grows with one piece and the
+    distinct cells, not with the cylinders.  The walk goes on past a grid
+    refusal, so that the cylinder cap refuses first as it would and the
+    refusal names the whole count.
     """
     _in_unit(delta)
-    scale, offset = _digit_table(spec)
     total, exact, us, vs = 0.0, True, [], []
-    for s, t in _stopping_blocks(scale, offset, delta, f"stopping set at delta={delta}"):
+    runs = _walk(*_digit_table(spec), f"stopping set at delta={delta}", delta=delta, bounded=True)
+    for _, s, t in runs:
         spans = _Spans.of(Rects(t[0], t[1], s[0], s[1]), delta)
         total, exact = total + spans.total, exact and spans.exact
         if total <= MAX_GRID_CELLS and exact:

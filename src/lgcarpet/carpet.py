@@ -15,9 +15,8 @@ come from one breadth-first walk of the word tree (per level, one `np.repeat`
 of the parent columns and one in-place multiply-add) as float64 rect columns
 (`Rects`, the one rect layout the package computes on), not as one Python
 object per word; the digit-index matrix of the words is assembled from the
-walk's level columns only when read.  A box count, which needs neither word
-order nor digits, walks the stopping set depth-first in blocks with the same
-level step instead, so it holds one block, not the whole family.
+walk's level columns only when read.  A box count reads the same walk in
+bounded runs of consecutive words, so it holds one piece, not the family.
 """
 
 from __future__ import annotations
@@ -36,12 +35,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyAttractor, InvalidDigit, InvalidSetting, SchemaError
+from .errors import BudgetExceeded, EmptyAttractor, InvalidDigit, InvalidRatio, InvalidSetting
+from .errors import SchemaError
 
 # The one budget of every call unless LG_MAX_CYLINDERS sets another; README lists what it counts.
 DEFAULT_MAX_CYLINDERS = 10_000_000
 
-# Child rows per block of the depth-first stopping walk (`_stopping_blocks`).
+# Child rows past which a bounded stopping walk (`_walk`) cuts its frontier into pieces.
 BLOCK_ROWS = 2**14
 
 # One digit is a (row, cell) pair, both 1-based; a word is a digit sequence.
@@ -422,39 +422,70 @@ def _step(s: np.ndarray, t: np.ndarray, column: np.ndarray,
     s *= scale[:, column]
 
 
+def _sure(h: np.ndarray, live: np.ndarray, b: np.ndarray, delta: float) -> int:
+    """Stopping words rows of heights h surely have, over height ratios b: 1
+    per stopped row, len(b)**m per live one, m in 1..64 the k >= 1 with h *
+    min(b)**k > delta * (1 + 2**-40), a level short to absorb rounding."""
+    levels = np.log(delta * (1.0 + 2.0**-40) / h[live]) / math.log(b.min())
+    per_m = np.bincount(np.clip(np.ceil(levels) - 1.0, 1, 64).astype(np.int64)).tolist()
+    return len(live) - len(levels) + sum(n * len(b)**m for m, n in enumerate(per_m))
+
+
 def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
-          delta: float | None = None, depth: int | None = None):
-    """Breadth-first walk of the word tree of one digit table.
+          delta: float | None = None, depth: int | None = None, bounded: bool = False):
+    """Breadth-first walk of the word tree of one digit table, in runs.
 
     Digit g maps axis k by u -> scale[k, g] * u + offset[k, g]; the last axis
     is the height.  A word stops at length `depth`, or else once it is
-    nonempty with height product <= delta.  Each level repeats a stopped row
-    once and a live row once per child, so rows stay in lexicographic order;
-    t += s * offset[g] and s *= scale[g] are word_map's float operations in
-    its order.  A stopped row's digit -1 reads an appended identity column
-    (scale 1, offset 0), which keeps its finite s and t bit for bit: t starts
-    at +0.0, and a sum is -0.0 only if both terms are.  Every live word has a
-    stopping descendant, so the cap refuses exactly the sets above it, before
-    they are built.  Returns the words' digit column of each level, digit
-    indices padded with -1 in the smallest signed dtype that holds them
-    (`_word_matrix` assembles the words from them), and the words' s, t columns.
+    nonempty with height product <= delta, which needs height ratios in (0,
+    1).  Each level repeats a stopped row once and a live row once per child,
+    so rows stay in lexicographic order; t += s * offset[g] and s *= scale[g]
+    are word_map's float operations in its order.  A stopped row's digit -1
+    reads an appended identity column (scale 1, offset 0), which keeps its
+    finite s and t bit for bit: t starts at +0.0, and a sum is -0.0 only if
+    both terms are.  Yields runs of consecutive words: each level's digit
+    column, digits padded with -1 in the smallest signed dtype that holds
+    them (for `_word_matrix`), and the s, t columns.  There is one run unless
+    a `bounded` delta walk cuts a level wider than BLOCK_ROWS into pieces of
+    max(1, BLOCK_ROWS // g) rows, each walked to its end before the next.
+    The cap is held against the rows yielded, the next level's rows and the
+    words each waiting piece surely has (`_sure`), which, as every live word
+    has a stopping descendant, never pass the set's size and end at it.
     """
     axes, g = scale.shape
+    ok = (0.0 < scale[-1]) & (scale[-1] < 1.0)
+    if delta is not None and not ok.all():
+        raise InvalidRatio(f"{what}: height ratio {scale[-1][~ok][0]} is not in (0, 1)")
     scale, offset = np.c_[scale, np.ones(axes)], np.c_[offset, np.zeros(axes)]
-    columns, dtype = [], np.min_scalar_type(-g)
-    s, t, live = np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool)
-    for level in itertools.count():
-        live &= (level != depth) if depth is not None else (level == 0) | (s[-1] > delta)
-        grow = np.where(live, g, 1)
-        _budget(grow.sum(), what, f" by length {level + 1}")
-        if not live.any():
-            return columns, s, t
-        column = (np.arange(grow.sum()) - np.repeat(np.cumsum(grow) - grow, grow)).astype(dtype)
-        live = np.repeat(live, grow)
-        column[~live] = -1
-        columns.append(column)
-        s, t = np.repeat(s, grow, axis=1), np.repeat(t, grow, axis=1)
-        _step(s, t, column, scale, offset)
+    dtype, per = np.min_scalar_type(-g), max(1, BLOCK_ROWS // g)
+    cap, done = 0, 0
+    # waiting pieces, the next last: s, t (copies, to free the cut level), live, level, sure words
+    pieces = [(np.ones((axes, 1)), np.zeros((axes, 1)), np.ones(1, dtype=bool), 0, 0)]
+    while pieces:
+        s, t, live, start, _ = pieces.pop()
+        columns = []
+        for level in itertools.count(start):
+            live &= (level != depth) if depth is not None else (level == 0) | (s[-1] > delta)
+            grow = np.where(live, g, 1)
+            if bounded and grow.sum() > BLOCK_ROWS and len(live) > per:
+                for at in reversed(range(per, len(live), per)):
+                    cut = slice(at, at + per)
+                    pieces.append((s[:, cut].copy(), t[:, cut].copy(), live[cut], level,
+                                   _sure(s[-1, cut], live[cut], scale[-1, :g], delta)))
+                s, t, live, grow = s[:, :per], t[:, :per], live[:per], grow[:per]
+            count = done + sum(piece[-1] for piece in pieces) + int(grow.sum())
+            if count > cap:
+                cap = _budget(count, what, f" by length {level + 1}")
+            if not live.any():
+                break
+            column = (np.arange(grow.sum()) - np.repeat(np.cumsum(grow) - grow, grow)).astype(dtype)
+            live = np.repeat(live, grow)
+            column[~live] = -1
+            columns.append(column)
+            s, t = np.repeat(s, grow, axis=1), np.repeat(t, grow, axis=1)
+            _step(s, t, column, scale, offset)
+        done += len(live)
+        yield columns, s, t
 
 
 def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:
@@ -474,42 +505,6 @@ def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:
     return words
 
 
-def _stopping_blocks(scale: np.ndarray, offset: np.ndarray, delta: float, what: str):
-    """Depth-first walk of the delta-stopping words of one digit table, in blocks.
-
-    Each block takes at most max(1, BLOCK_ROWS // g) waiting live rows and
-    builds their children by `_step`, as `_walk` does, so every row is bit
-    for bit its `_walk` row; yields the s, t columns of the children that
-    stop, block by block in no set order, and keeps the others waiting.  A
-    waiting row has g children, each with a stopping descendant, so the rows
-    yielded plus g per waiting row bound the set's size from below and reach
-    it at the end: the walk refuses exactly the sets `_walk` refuses, once
-    the block that takes that bound past the cap is built, and no later.  The
-    tail names the length of that block's children, which may differ from
-    the one `_walk` names.
-    """
-    axes, g = scale.shape
-    cap, per, digits = _budget(g, what, " by length 1"), max(1, BLOCK_ROWS // g), np.arange(g)
-    waiting = [(np.ones((axes, 1)), np.zeros((axes, 1)), 1)]  # (s, t, length of children)
-    bound = g
-    while waiting:
-        s, t, length = waiting.pop()
-        n = s.shape[1]
-        if n > per:
-            waiting.append((s[:, :n - per], t[:, :n - per], length))
-            s, t, n = s[:, n - per:], t[:, n - per:], per
-        s, t = np.repeat(s, g, axis=1), np.repeat(t, g, axis=1)
-        _step(s, t, np.tile(digits, n), scale, offset)
-        stop = s[-1] <= delta
-        bound += (g - 1) * (n * g - int(np.count_nonzero(stop)))
-        if bound > cap:
-            _budget(bound, what, f" by length {length}")
-        if stop.any():
-            yield s[:, stop], t[:, stop]
-        if not stop.all():
-            waiting.append((s[:, ~stop], t[:, ~stop], length + 1))
-
-
 def _digit_table(spec: CarpetSpec):
     """Scale and offset of each digit's map, x axis over y axis, one column
     per digit of `spec.digits`; an all-empty spec has no attractor."""
@@ -522,7 +517,7 @@ def _digit_table(spec: CarpetSpec):
 
 
 def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
-    columns, s, t = _walk(*_digit_table(spec), what, **stop)
+    columns, s, t = next(_walk(*_digit_table(spec), what, **stop))
     return Cylinders(spec.digits, columns, Rects(t[0], t[1], s[0], s[1]))
 
 

@@ -17,6 +17,10 @@ class InvalidDigit(CarpetError):
     """A word refers to a row/cell index that does not exist in the spec."""
 
 
+class InvalidRatio(CarpetError):
+    """A height ratio lies outside (0, 1), so the words would never all stop."""
+
+
 class InvalidSetting(CarpetError):
     """An environment variable holds a value outside its documented domain."""
 

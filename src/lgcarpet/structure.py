@@ -460,7 +460,7 @@ def _row_walk(spec: CarpetSpec, delta: float, *axes):
     proj = project_F(spec)
     scale = np.array([*axes, proj.ratios])
     offset = np.array([*np.zeros_like(axes), proj.offsets])
-    columns, s, t = _walk(scale, offset, f"row stopping set at delta={delta}", delta=delta)
+    columns, s, t = next(_walk(scale, offset, f"row stopping set at delta={delta}", delta=delta))
     return proj.rows, columns, s, t
 
 

@@ -174,17 +174,34 @@ class TestBoxCount:
                     with pytest.raises(BudgetExceeded, match=text):
                         call(spec, delta)
 
-    @pytest.mark.parametrize("cap, levels, blocks", [(20000, 10, 9), (300000, 12, 17)])
-    def test_refusal_names_block_length(self, mcm, monkeypatch, cap, levels, blocks):
-        # the level walk names the first level wider than the cap; the block
-        # walk names the length of the block that took its bound past it,
-        # which counts a waiting row as its 3 children and goes deep first
+    @pytest.mark.parametrize("cap, levels, pieces", [(20000, 10, 9), (300000, 12, 9)])
+    def test_refusal_names_block_length(self, mcm, monkeypatch, cap, levels, pieces):
+        # the one-run walk names the first level wider than the cap; the
+        # bounded walk names the level whose cut took its count past it, as
+        # the cut counts each waiting live row as the 3**64 words it is sure
+        # to have at 1e-300
         monkeypatch.setenv("LG_MAX_CYLINDERS", str(cap))
         text = f"^stopping set at delta=1e-300 exceeds cap {cap} by length "
         with pytest.raises(BudgetExceeded, match=f"{text}{levels}$"):
             lg.enumerate_stopping(mcm, 1e-300)
-        with pytest.raises(BudgetExceeded, match=f"{text}{blocks}$"):
+        with pytest.raises(BudgetExceeded, match=f"{text}{pieces}$"):
             lg.box_count(mcm, 1e-300)
+
+    def test_refusal_steps_few_rows(self, mcm, monkeypatch):
+        # MCM at 1e-5 has 3**17 words, over the default cap; the cuts count
+        # the words their waiting rows are sure to have, so the walk refuses
+        # after two pieces, not after walking about a cap's worth of rows
+        stepped, step = [], carpet._step
+
+        def counted(s, *rest):
+            stepped.append(s.shape[1])
+            step(s, *rest)
+
+        monkeypatch.setattr(carpet, "_step", counted)
+        with pytest.raises(BudgetExceeded,
+                           match="^stopping set at delta=1e-05 exceeds cap 10000000 by length 10$"):
+            lg.box_count(mcm, 1e-5)
+        assert sum(stepped) < 4 * carpet.BLOCK_ROWS
 
     def test_grid_refusals(self, cd, monkeypatch):
         # the grid cap counts the whole set, not one block; past it, the walk

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,7 +376,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("block", [1, 3, 64, 2**14])
     def test_stopping_blocks_are_the_stopping_set(self, cd, mcm, mixed, touching,
                                                   monkeypatch, block):
-        # every stopping row once and bit for bit, wherever the block edges fall
+        # the bounded runs, one after another, are the stopping rows bit for
+        # bit and in word order, wherever the pieces are cut
         monkeypatch.setattr(carpet, "BLOCK_ROWS", block)
         cases = [(cd, 3.0 ** -4), (mcm, 2.0 ** -6), (mixed, 0.01), (touching, 2.0 ** -6)]
         cases += [(synth.random_grid_spec(seed), delta)
@@ -380,11 +385,41 @@ class TestEnumeration:
         for spec, delta in cases:
             rects = lg.enumerate_stopping(spec, delta).rects
             want = np.stack([rects.x0, rects.y0, rects.w, rects.h])
-            blocks = carpet._stopping_blocks(*carpet._digit_table(spec), delta, "stopping set")
-            got = np.concatenate([np.concatenate([t, s]) for s, t in blocks], axis=1)
+            runs = carpet._walk(*carpet._digit_table(spec), "stopping set", delta=delta,
+                                bounded=True)
+            got = np.concatenate([np.concatenate([t, s]) for _, s, t in runs], axis=1)
             assert got.shape == want.shape
-            got, want = got[:, np.lexsort(got[::-1])], want[:, np.lexsort(want[::-1])]
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_height_ratio_outside_unit_refused(self):
+        # one row of height 1: no word ever drops below delta, and one live
+        # row never passes the cap; a subprocess keeps a walk that never
+        # ends from hanging the suite
+        src = str(Path(lg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        check = "\n".join([
+            "import lgcarpet as lg",
+            "spec = lg.spec_from_dict({'rows': [{'b': 1, 'cells': [{'a': 0.5, 'c': 0}]}]})",
+            "for call in (lg.enumerate_stopping, lg.box_count, lg.row_stopping_words, lg.h_delta):",
+            "    try:",
+            "        call(spec, 0.5)",
+            "    except lg.errors.CarpetError as exc:",
+            "        print(f'{type(exc).__name__}: {exc}')"])
+        proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "InvalidRatio: stopping set at delta=0.5: height ratio 1.0 is not in (0, 1)",
+            "InvalidRatio: stopping set at delta=0.5: height ratio 1.0 is not in (0, 1)",
+            "InvalidRatio: row stopping set at delta=0.5: height ratio 1.0 is not in (0, 1)",
+            "InvalidRatio: row stopping set at delta=0.5: height ratio 1.0 is not in (0, 1)"]
+        # a ratio of 0 or above 1 is refused as well, while a depth walk ends
+        for b in (0.0, 1.5):
+            spec = lg.spec_from_dict(rows_dict([(b, [(0.5, 0.0)])]))
+            with pytest.raises(lg.errors.InvalidRatio, match=f"height ratio {b} is not in"):
+                lg.enumerate_stopping(spec, 0.5)
+            assert len(lg.enumerate_depth(spec, 2)) == 1
 
     def test_budget_is_exact(self, mcm, mixed, monkeypatch):
         for spec, delta in ((mcm, 0.2), (mixed, 0.01)):
@@ -437,7 +472,7 @@ class TestEnumeration:
             lambda: lg.fiber_approx(mcm, (1,)),
             lambda: lg.build_epsilon_chain(mcm, 0.5),  # the chain's points
             lambda: lg.n_delta_curve(mcm, 0.5, 0.25, 2),  # the curve's steps
-            lambda: lg.box_count(mcm, 0.5),  # the block walk
+            lambda: lg.box_count(mcm, 0.5),  # the bounded walk
         ]
         for call in calls:
             with pytest.raises(InvalidSetting,
