@@ -17,9 +17,8 @@ rounds resolve only the weights that the entries >= floor depend on.  Each
 round then finds every component's nearest other component on the quotient
 by those components, and all of a round's picks merge in one vectorised
 union.  component_labels is the fixed-radius walk alone, at its threshold.
-gap_sequence_bruteforce sweeps the full distance matrix threshold by
-threshold with a sequential union-find until one component is left.  Tests
-pin the routes against each other.
+gap_sequence_bruteforce is Kruskal over every rect pair, in one stable sort
+by distance.  Tests pin the routes against each other.
 """
 
 from __future__ import annotations
@@ -180,12 +179,13 @@ class _Tree:
     root: the node bounding boxes, and each walk's component ranges and
     bounds.  `levels` lists (lo, hi, boxes) per level.
 
-    Walks start at the middle level `start` = depth // 2, whose 2**start
-    (about sqrt(n)) nodes are all nonempty: `start_pairs` holds every node
-    pair (a, b), a <= b, of that level with the distance between their
-    boxes, about n / 2 pairs computed once per tree.  The levels above it
-    hold few pairs, and a walk that started at the root would cross them
-    again in every Borůvka round.
+    Walks start at level `start` = max(depth // 2, min(depth - 1, 7)), above
+    the leaves unless n = 1, so its nodes are all nonempty: `start_pairs`
+    holds every node pair (a, b), a <= b, of it with their box distance,
+    computed once per tree, and no Borůvka round crosses the levels above.
+    Each level walked costs a fixed numpy overhead, so a tree below depth 14
+    starts at level 7 (8256 pairs, as the middle of a 16384-rect tree has)
+    or one above its leaves: a few hundred rects take one or two levels.
     """
 
     def __init__(self, cols: Rects):
@@ -219,7 +219,7 @@ class _Tree:
                 self.up(np.maximum, cols.x1), self.up(np.maximum, cols.y1)]
         self.levels = [(*self._ranges(n, level), _Boxes(*(h[level] for h in hull)))
                        for level in range(depth + 1)]
-        self.start = depth // 2
+        self.start = max(depth // 2, min(depth - 1, 7))
         a, b = np.triu_indices(2 ** self.start)
         self.start_pairs = (a, b, _pair_dist(self.levels[self.start][2], a, b))
 
@@ -420,11 +420,11 @@ def gap_sequence_mst(rects, floor: float = 0.0) -> GapSequence:
 
 
 def gap_sequence_bruteforce(rects) -> GapSequence:
-    """Oracle route: sweep every distinct pairwise distance with a union-find.
-
-    Counts components before and after each threshold; the count drops are the
-    multiplicities.  Quadratic, refuses more than the constant ORACLE_CAP rects.
-    """
+    """Oracle route: Kruskal over every rect pair, in one stable sort by
+    distance (`np.triu_indices` lists the pairs in (i, j) order, which ties
+    keep), until one component is left.  Each union at a positive distance
+    is one gap: the unions at a distance are the component count's drop there.
+    Quadratic, refuses more than the constant ORACLE_CAP rects."""
     if not rects:
         raise EmptyInput("no rects")
     if len(rects) > ORACLE_CAP:
@@ -432,22 +432,16 @@ def gap_sequence_bruteforce(rects) -> GapSequence:
     cols = Rects.of(rects)
     iu, ju = np.triu_indices(len(cols), k=1)
     d = _pair_dist(cols, iu, ju)
-    order = np.lexsort((ju, iu, d))
-    iu, ju, d = iu[order], ju[order], d[order]
+    order = np.argsort(d, kind="stable")
 
     uf = _UnionFind(len(cols))
-    jumps: list[tuple[float, int]] = []
-    k = 0
-    while k < len(d) and uf.components > 1:
-        value = d[k]
-        before = uf.components
-        while k < len(d) and d[k] == value:
-            uf.union(int(iu[k]), int(ju[k]))
-            k += 1
-        drop = before - uf.components
-        if value > 0.0 and drop > 0:
-            jumps.append((float(value), drop))
-    weights = [v for v, mult in jumps for _ in range(mult)]
+    weights: list[float] = []
+    for w, i, j in zip(d[order].tolist(), iu[order].tolist(), ju[order].tolist()):
+        if uf.union(i, j):
+            if w > 0.0:
+                weights.append(w)
+            if uf.components == 1:
+                break
     return GapSequence(entries=_aggregate(weights))
 
 

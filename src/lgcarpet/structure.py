@@ -141,14 +141,20 @@ def _ifs_cover(steps, what: str) -> IntervalSet:
     the intervals I of the cover so far.  The one budget rule: a step of more
     image intervals than `_budget` allows is refused before it is built.  The
     cap is read at the first step; a later step calls `_budget` only to refuse.
+
+    A step whose images, in (map, interval) order, each start right of the
+    end of the one before skips `_merge`, which would return the same
+    columns bit for bit: its stable sort keeps that order, the running max
+    of hi is hi, and every image starts a run.  Other steps are merged.
     """
-    cover, cap = IntervalSet(((0.0, 1.0),)), 0
+    cover, cap = IntervalSet._of(np.zeros(1), np.ones(1)), 0
     for scale, offset in steps:
         images = len(cover) * len(scale)
         if images > cap:
             cap = _budget(images, f"{what}: {len(cover)} intervals x {len(scale)} maps")
         scale, offset = scale[:, None], offset[:, None]
-        cover = _merge((offset + scale * cover.lo).ravel(), (offset + scale * cover.hi).ravel())
+        lo, hi = (offset + scale * cover.lo).ravel(), (offset + scale * cover.hi).ravel()
+        cover = IntervalSet._of(lo, hi) if (lo[1:] > hi[:-1]).all() else _merge(lo, hi)
     return cover
 
 

@@ -32,7 +32,7 @@ lattice_rect = st.builds(Rect, lattice_coord, lattice_coord,
                          lattice_extent, lattice_extent)
 
 # Sizes on both sides of the boundaries where the tree's start level
-# (depth // 2) moves: depths 0 to 7.
+# (one above the leaves up to depth 8) moves: depths 0 to 7.
 START_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
 
@@ -79,6 +79,35 @@ def oracle_labels(rects, delta):
         if lg.rect_distance(rects[i], rects[j]) <= delta:
             parent[find(i)] = find(j)
     return [find(k) for k in range(len(rects))]
+
+
+def sweep_entries(rects):
+    """Per-threshold sweep: every distinct pair distance in turn, as a
+    threshold, with the drop in the component count across it (counted by a
+    dict union-find) as that value's multiplicity."""
+    cols = Rects.of(rects)
+    iu, ju = np.triu_indices(len(cols), k=1)
+    d = _pair_dist(cols, iu, ju)
+    order = np.lexsort((ju, iu, d))
+    parent = {k: k for k in range(len(cols))}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    weights, components = [], len(cols)
+    for value, pairs in itertools.groupby(zip(d[order].tolist(), iu[order].tolist(),
+                                              ju[order].tolist()), key=lambda e: e[0]):
+        before = components
+        for _, i, j in pairs:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                components -= 1
+        if value > 0.0:
+            weights += [value] * (before - components)
+    return lg.gaps._aggregate(weights)
 
 
 def at_least(entries, floor):
@@ -263,6 +292,39 @@ class TestMSTAgainstOracles:
         floor = (full[2][0] + full[3][0]) / 2
         assert lg.gap_sequence_mst(rects, floor=floor).entries == at_least(full, floor)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 4)] * 2, *[st.integers(0, 1)] * 2),
+                    min_size=1, max_size=80))
+    def test_integer_lattice_multiplicities(self, cells):
+        # unit-spaced rects, coincident, touching and overlapping: few
+        # distinct distances, each repeated many times
+        rects = [Rect(*map(float, c)) for c in cells]
+        entries = lg.gap_sequence_bruteforce(rects).entries
+        assert entries == sweep_entries(rects)
+        assert entries == lg.gap_sequence_mst(rects).entries
+
+    @pytest.mark.parametrize("rects, entries", [
+        # three clusters of 20 coincident points, 2 and 3 apart
+        ([Rect(x, 0, 0, 0) for x in (0, 2, 5) for _ in range(20)], ((3.0, 1), (2.0, 1))),
+        # a 5 x 5 block of touching unit squares and one point a unit away
+        ([Rect(x, y, 1, 1) for x in range(5) for y in range(5)] + [Rect(6, 0, 0, 0)],
+         ((1.0, 1),)),
+        # a 4 x 4 lattice of points: 15 unit edges
+        ([Rect(x, y, 0, 0) for x in range(4) for y in range(4)], ((1.0, 15),)),
+    ])
+    def test_zero_distance_clusters(self, rects, entries):
+        assert lg.gap_sequence_bruteforce(rects).entries == entries
+        assert sweep_entries(rects) == entries
+        assert lg.gap_sequence_mst(rects).entries == entries
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overlapping_clusters_match_sweep(self, seed):
+        rects = overlapping_clusters(120, seed)
+        entries = lg.gap_sequence_bruteforce(rects).entries
+        assert entries == sweep_entries(rects)
+        assert entries == lg.gap_sequence_mst(rects).entries
+        assert sum(m for _, m in entries) == 3
+
     def test_oracle_cap(self):
         rects = synth.random_rects(ORACLE_CAP + 1, seed=0)
         with pytest.raises(OracleCapExceeded):
@@ -344,10 +406,11 @@ class TestTree:
     def test_random_rects(self, n):
         self.check(synth.random_rects(n, seed=n))
 
-    @pytest.mark.parametrize("n", START_SIZES + [100, 333])
+    @pytest.mark.parametrize("n", START_SIZES + [100, 198, 333])
     def test_start_pairs_list_every_pair_once(self, n):
         tree = _Tree(Rects.of(synth.random_rects(n, seed=n)))
-        assert tree.start == (len(tree.levels) - 1) // 2
+        depth = len(tree.levels) - 1
+        assert tree.start == max(depth // 2, min(depth - 1, 7))
         a, b, dist = tree.start_pairs
         m = 2 ** tree.start
         assert sorted(zip(a.tolist(), b.tolist())) == \
@@ -386,7 +449,7 @@ class TestDescend:
 
 
 class TestStartLevel:
-    """Walks that start at the tree's middle level, and rounds on the quotient,
+    """Walks that start at the tree's start level, and rounds on the quotient,
     against the oracles at sizes around every start-level boundary."""
 
     @settings(max_examples=200, deadline=None)

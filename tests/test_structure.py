@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lgcarpet as lg
@@ -78,6 +78,52 @@ THIN_ROW_SPEC = """{"rows": [{"b": "1/2", "cells": [{"a": "1/4", "c": "0"}]},
 SHORT_TOP_SPEC = """{"rows": [
           {"b": 0.05271828665568369, "cells": [{"a": 0.026359143327841845, "c": 0}]},
           {"b": 0.9472817133443162, "cells": [{"a": 0.4736408566721581, "c": 0}]}]}"""
+
+
+@st.composite
+def cover_specs(draw):
+    """Valid specs whose neighbouring cells are apart, touching, or overlapping
+    within `validate`'s 1e-12 slack."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    rows = []
+    for w in weights:
+        b = w / sum(weights)
+        cells, x = [], draw(st.sampled_from([0.0, 0.05]))
+        for _ in range(draw(st.integers(0, 3))):
+            a = b * draw(st.sampled_from([0.25, 1 / 3, 0.5]))
+            cells.append(lg.Cell(a, x))
+            x += a + draw(st.sampled_from([0.1, 0.01, 0.0, -5e-13]))
+        rows.append(lg.RowSpec(b, tuple(cells)))
+    spec = lg.CarpetSpec(tuple(rows))
+    assume(spec.nonempty_rows and lg.validate(spec) == [])
+    return spec
+
+
+# `validate` flags row 1's cells, listed right to left, but the cover
+# functions take any spec
+RIGHT_TO_LEFT = lg.spec_from_dict({"rows": [
+    {"b": 0.5, "cells": [{"a": 0.25, "c": 0.75}, {"a": 0.25, "c": 0.25}, {"a": 0.25, "c": 0}]},
+    {"b": 0.5, "cells": [{"a": 0.25, "c": 0.5}]}]})
+
+cover_cases = st.one_of(cover_specs(), st.sampled_from(
+    [synth.cantor_dust(), synth.three_map_carpet(), synth.mixed_rows(),
+     synth.touching_columns(), RIGHT_TO_LEFT]))
+
+
+def merged_at_every_step(steps):
+    """The IFS cover with every step's images sorted and merged by `_merge`:
+    the reference that a step skipping the merge must match bit for bit."""
+    lo, hi = np.zeros(1), np.ones(1)
+    for scale, offset in steps:
+        scale, offset = scale[:, None], offset[:, None]
+        cover = structure._merge((offset + scale * lo).ravel(), (offset + scale * hi).ravel())
+        lo, hi = cover.lo, cover.hi
+    return lo, hi
+
+
+def same_bits(cover, lo, hi):
+    return (cover.lo.dtype == cover.hi.dtype == np.float64
+            and cover.lo.tobytes() == lo.tobytes() and cover.hi.tobytes() == hi.tobytes())
 
 
 def reference_h_delta(spec, delta):
@@ -407,6 +453,49 @@ class TestFibers:
             sx, tx, _, _ = lg.word_map(spec, zip(coding, cols))
             pairs.append((tx, tx + sx))
         assert_same_cover(lg.fiber_approx(spec, coding), pairs)
+
+
+class TestCoverSteps:
+    """A step whose images are sorted and disjoint already skips `_merge`,
+    and every cover keeps the bits that a merge at every step gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_cases, st.data())
+    def test_fiber_bits_at_every_step(self, spec, data):
+        coding = data.draw(st.lists(st.sampled_from(spec.nonempty_rows), min_size=1, max_size=7))
+        maps = {i: (np.array([c.a for c in spec.row(i).cells]),
+                    np.array([c.c for c in spec.row(i).cells])) for i in coding}
+        # fiber_approx of a coding's suffix is the cover after that many steps
+        for k in range(len(coding)):
+            suffix = coding[k:]
+            lo, hi = merged_at_every_step([maps[i] for i in reversed(suffix)])
+            assert same_bits(lg.fiber_approx(spec, suffix), lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cover_cases, st.integers(0, 5))
+    def test_projection_bits_at_every_step(self, spec, depth):
+        proj = lg.project_F(spec)
+        maps = np.array(proj.ratios), np.array(proj.offsets)
+        for k in range(depth + 1):
+            lo, hi = merged_at_every_step([maps] * k)
+            assert same_bits(lg.projection_approx(spec, k), lo, hi)
+
+    def test_merge_only_where_images_touch(self, cd, touching, monkeypatch):
+        calls = []
+        merge = structure._merge
+
+        def counting(lo, hi, tol=0.0):
+            calls.append(len(lo))
+            return merge(lo, hi, tol)
+
+        monkeypatch.setattr(structure, "_merge", counting)
+        # CD's two cells are a half apart: 2**12 disjoint intervals, no merge
+        assert len(lg.fiber_approx(cd, (1, 3) * 6)) == 4096
+        assert calls == []
+        # TOUCHING's two cells share an edge, so the first step merges its
+        # two images into [0, 1/2]; the images of that are apart
+        assert len(lg.fiber_approx(touching, (1,) * 12)) == 2 ** 11
+        assert calls == [2]
 
 
 class TestHdBound:
