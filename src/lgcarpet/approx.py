@@ -4,16 +4,16 @@ The stopping set at scale delta covers the attractor by cylinder rectangles of
 height at most delta (and width smaller than height times one row ratio), so
 counting occupied grid cells of size delta gives the covering number N_delta
 up to a bounded factor.  `approx_set` and the SVG read the cover as the
-`Rects` columns of the cylinder walk in `carpet`; `box_count` never builds
-it, but takes the stopping rows piece by piece from the same walk's bounded
-runs and keeps only their distinct grid cells.
+`Rects` columns of the cylinder walk in `carpet`.  One grid-cell counter,
+`_count_cells`, serves both counts: `count_grid_cells` hands it the rects as
+one run, and `box_count`, which never builds the cover, hands it the same
+walk's bounded runs piece by piece, keeping only their distinct cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,42 +67,6 @@ def _grid_index(vals: np.ndarray, delta: float, upper: bool = False) -> np.ndarr
     return q
 
 
-class _Spans(NamedTuple):
-    """Each rect's lower-left cell u0, v0 and its span of `rows` x columns
-    cells (`spans` in all), as float64 integers, the spans int64 once their
-    sum `total` is within MAX_GRID_CELLS; `exact` says every u0, v0 is below
-    2**53, an exact cell index."""
-
-    u0: np.ndarray
-    v0: np.ndarray
-    rows: np.ndarray
-    spans: np.ndarray
-    total: float
-    exact: bool
-
-    @classmethod
-    def of(cls, cols: Rects, delta: float) -> "_Spans":
-        # A fine enough grid overflows indices to inf; fmax maps inf - inf (NaN) to 0.
-        with np.errstate(over="ignore", invalid="ignore"):
-            u0, v0 = _grid_index(cols.x0, delta), _grid_index(cols.y0, delta)
-            rows = np.fmax(_grid_index(cols.y1, delta, upper=True) - v0, 0.0) + 1.0
-            spans = (np.fmax(_grid_index(cols.x1, delta, upper=True) - u0, 0.0) + 1.0) * rows
-        total = float(spans.sum())
-        if total <= MAX_GRID_CELLS:  # the only spans that `cells` expands
-            spans = spans.astype(np.int64)
-        return cls(u0, v0, rows, spans, total, bool((np.abs([u0, v0]) < 2.0**53).all()))
-
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each rect's cells (u, v), rect by rect, as int64 columns."""
-        spans = self.spans
-        # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows).
-        u, v = np.divmod(np.arange(int(self.total)) - np.repeat(np.cumsum(spans) - spans, spans),
-                         np.repeat(self.rows.astype(np.int64), spans))
-        u += np.repeat(self.u0.astype(np.int64), spans)
-        v += np.repeat(self.v0.astype(np.int64), spans)
-        return u, v
-
-
 def _sort_cells(u: np.ndarray, v: np.ndarray):
     """The cells (u, v) sorted by u then v, and a mask of the first of each
     distinct cell: by sorting, since a linear key u * V + v overflows int64."""
@@ -114,13 +78,49 @@ def _sort_cells(u: np.ndarray, v: np.ndarray):
     return u, v, first
 
 
-def _refuse_grid(total: float, exact: bool, delta: float) -> None:
-    """The grid count's own refusals: more than MAX_GRID_CELLS (cell, rect)
-    pairs, then a cell index float64 does not hold exactly."""
+def _count_cells(runs, delta: float) -> int:
+    """Distinct grid cells of size delta meeting the rects of `runs`, an
+    iterable of `Rects`: the one counter behind `count_grid_cells` and
+    `box_count`.
+
+    Each rect's span of cells, from its lower-left cell (u0, v0) over `rows`
+    rows, is found in float64, so a tiny delta is refused with its true cell
+    count before any int64 math.  Each run's cells are expanded, sorted and
+    made distinct alone, and only its distinct cells are kept until all runs
+    are merged; a run is let go once its spans are found, so `runs` should
+    not hold it.  The refusals come once every run is read, in this order:
+    more than MAX_GRID_CELLS (cell, rect) pairs in all, then a cell index
+    float64 does not hold exactly.
+    """
+    total, exact, us, vs = 0.0, True, [], []
+    for cols in runs:
+        # A fine enough grid overflows indices to inf; fmax maps inf - inf (NaN) to 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0, v0 = _grid_index(cols.x0, delta), _grid_index(cols.y0, delta)
+            rows = np.fmax(_grid_index(cols.y1, delta, upper=True) - v0, 0.0) + 1.0
+            spans = (np.fmax(_grid_index(cols.x1, delta, upper=True) - u0, 0.0) + 1.0) * rows
+        del cols  # and its x1, y1 columns, unless the caller holds them
+        total += float(spans.sum())
+        exact = exact and bool((np.abs([u0, v0]) < 2.0**53).all())
+        if total <= MAX_GRID_CELLS and exact:  # the only spans expanded
+            spans = spans.astype(np.int64)
+            # Cell k of a rect's span is (u0 + k // rows, v0 + k % rows).
+            u, v = np.divmod(np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans),
+                             np.repeat(rows.astype(np.int64), spans))
+            u += np.repeat(u0.astype(np.int64), spans)
+            v += np.repeat(v0.astype(np.int64), spans)
+            del u0, v0, rows, spans
+            u, v, first = _sort_cells(u, v)
+            us.append(u[first])
+            vs.append(v[first])
+            del u, v, first
     if not total <= MAX_GRID_CELLS:
         raise BudgetExceeded(f"grid count at delta={delta} touches {total:.0f} cells")
     if not exact:
         raise ValueError(f"delta={delta} is finer than float64 resolves the rect coordinates")
+    u, v = np.concatenate(us), np.concatenate(vs)
+    del us, vs
+    return int(np.count_nonzero(_sort_cells(u, v)[2]))
 
 
 def count_grid_cells(rects, delta: float) -> int:
@@ -130,16 +130,11 @@ def count_grid_cells(rects, delta: float) -> int:
     upper side, and a rect's own top/right edge sitting exactly on a grid line
     does not claim the next cell (degenerate rects claim the one cell holding
     them).  This matches the usual box-counting convention where each point
-    contributes exactly one cell.  The budget is checked on float64 spans, so
-    a tiny delta is refused with its true cell count before any int64 math.
+    contributes exactly one cell.  The rects are `_count_cells`' one run.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
-    spans = _Spans.of(Rects.of(rects), delta)
-    _refuse_grid(spans.total, spans.exact, delta)
-    u, v = spans.cells()
-    del spans
-    return int(np.count_nonzero(_sort_cells(u, v)[2]))
+    return _count_cells(map(Rects.of, [rects]), delta)  # a map holds no columns
 
 
 def box_count(spec: CarpetSpec, delta: float) -> int:
@@ -148,26 +143,14 @@ def box_count(spec: CarpetSpec, delta: float) -> int:
     with the same refusals, in that order.
 
     The stopping set is never built: the walk's bounded runs (`carpet._walk`)
-    hand over the stopped rows of one piece at a time, whose distinct cells
-    are kept and merged at the end, so memory grows with one piece and the
-    distinct cells, not with the cylinders.  The walk goes on past a grid
-    refusal, so that the cylinder cap refuses first as it would and the
-    refusal names the whole count.
+    are `_count_cells`' runs, one piece of stopped rows at a time, so memory
+    grows with one piece and the distinct cells, not with the cylinders.
+    The counter reads every run before a grid refusal, so that the cylinder
+    cap refuses first as it would and the refusal names the whole count.
     """
     _in_unit(delta)
-    total, exact, us, vs = 0.0, True, [], []
     runs = _walk(*_digit_table(spec), f"stopping set at delta={delta}", delta=delta, bounded=True)
-    for _, s, t in runs:
-        spans = _Spans.of(Rects(t[0], t[1], s[0], s[1]), delta)
-        total, exact = total + spans.total, exact and spans.exact
-        if total <= MAX_GRID_CELLS and exact:
-            u, v, first = _sort_cells(*spans.cells())
-            us.append(u[first])
-            vs.append(v[first])
-    _refuse_grid(total, exact, delta)
-    u, v = np.concatenate(us), np.concatenate(vs)
-    del us, vs
-    return int(np.count_nonzero(_sort_cells(u, v)[2]))
+    return _count_cells((Rects(t[0], t[1], s[0], s[1]) for _, s, t in runs), delta)
 
 
 def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,

@@ -403,7 +403,10 @@ def _budget(count: int, what: str, tail: str = "") -> int:
 
 def _whole(value, low: int, what: str) -> None:
     """Refuse (ValueError) a `what` that is not a whole number >= low: NaN,
-    inf and 2.5 included, which no walk level would ever reach."""
+    inf and 2.5 included, which no walk level would ever reach, and a
+    boolean, which compares as 0 or 1 but is no count."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a whole number, got a boolean")
     if not value >= low:
         raise ValueError(f"{what} must be >= {low}, got {value}")
     if not (value < math.inf and value % 1 == 0):

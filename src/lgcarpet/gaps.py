@@ -17,8 +17,9 @@ rounds resolve only the weights that the entries >= floor depend on.  Each
 round then finds every component's nearest other component on the quotient
 by those components, and all of a round's picks merge in one vectorised
 union.  component_labels is the fixed-radius walk alone, at its threshold.
-gap_sequence_bruteforce is Kruskal over every rect pair, in one stable sort
-by distance.  Tests pin the routes against each other.
+`_UnionFind.union_pairs` is the library's one merge.  gap_sequence_bruteforce
+is Prim's algorithm over dense rows of rect distances, with no union-find;
+the tests add Kruskal over a dict union-find.  The routes pin each other.
 """
 
 from __future__ import annotations
@@ -118,49 +119,29 @@ class _UnionFind:
         self.parent = np.arange(n, dtype=np.int64)
         self.components = n
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = int(p[x])
-        return x
+    def union_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Join every pair (a[k], b[k]) at once; the only merge.
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.components -= 1
-        return True
-
-    def compress(self) -> None:
+        Each step jumps pointers until every element's parent is its root,
+        then hooks every root onto the least root it is paired with (when
+        that one is smaller), until no pair spans two roots.  A root only
+        hooks onto a smaller index, so no cycle forms; starting from
+        singletons, each component is rooted at its least member.  On return
+        every element's parent is its root.
+        """
         p = self.parent
         while True:
             gp = p[p]
-            if np.array_equal(gp, p):
-                break
-            p = gp
-        self.parent = p
-
-    def union_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Join every pair (a[k], b[k]) at once.
-
-        Each step hooks every root onto the least root it is paired with
-        (when that one is smaller) and jumps pointers, until no pair spans two
-        roots.  A root only hooks onto a smaller index, so no cycle forms;
-        starting from singletons, each component is rooted at its least member.
-        On return every element's parent is its root.
-        """
-        while True:
-            self.compress()
-            ra, rb = self.parent[a], self.parent[b]
+            while not np.array_equal(gp, p):
+                p, gp = gp, gp[gp]
+            ra, rb = p[a], p[b]
             span = ra != rb
             if not span.any():
                 break
             a, b, ra, rb = a[span], b[span], ra[span], rb[span]
-            np.minimum.at(self.parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        self.components = int(np.count_nonzero(
-            self.parent == np.arange(len(self.parent))))
+            np.minimum.at(p, np.maximum(ra, rb), np.minimum(ra, rb))
+        self.parent = p
+        self.components = int(np.count_nonzero(p == np.arange(len(p))))
 
 
 class _Tree:
@@ -420,29 +401,30 @@ def gap_sequence_mst(rects, floor: float = 0.0) -> GapSequence:
 
 
 def gap_sequence_bruteforce(rects) -> GapSequence:
-    """Oracle route: Kruskal over every rect pair, in one stable sort by
-    distance (`np.triu_indices` lists the pairs in (i, j) order, which ties
-    keep), until one component is left.  Each union at a positive distance
-    is one gap: the unions at a distance are the component count's drop there.
+    """Oracle route: Prim's algorithm on the complete graph of rect set
+    distances.  Each of the n - 1 steps takes the dense row of distances from
+    the rect just added, keeps every rect's least distance to the tree, and
+    adds the nearest rect outside it; each positive step is one gap.  No pair
+    list, sort or union-find: `_pair_dist` is symmetric bit for bit, so the
+    MST weight multiset is the same whichever tied rect a step adds.
     Quadratic, refuses more than the constant ORACLE_CAP rects."""
     if not rects:
         raise EmptyInput("no rects")
     if len(rects) > ORACLE_CAP:
         raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {ORACLE_CAP}")
     cols = Rects.of(rects)
-    iu, ju = np.triu_indices(len(cols), k=1)
-    d = _pair_dist(cols, iu, ju)
-    order = np.argsort(d, kind="stable")
-
-    uf = _UnionFind(len(cols))
-    weights: list[float] = []
-    for w, i, j in zip(d[order].tolist(), iu[order].tolist(), ju[order].tolist()):
-        if uf.union(i, j):
-            if w > 0.0:
-                weights.append(w)
-            if uf.components == 1:
-                break
-    return GapSequence(entries=_aggregate(weights))
+    every = np.arange(len(cols))
+    outside = np.ones(len(cols), dtype=bool)
+    near = np.full(len(cols), np.inf)  # each rect's least distance to the tree
+    steps = np.empty(len(cols) - 1)
+    k = 0
+    for step in range(len(steps)):
+        outside[k] = False
+        np.minimum(near, _pair_dist(cols, k, every), out=near, where=outside)
+        near[k] = np.inf
+        k = int(near.argmin())
+        steps[step] = near[k]
+    return GapSequence(entries=_aggregate(steps[steps > 0.0]))
 
 
 def gap_sequence_of_carpet(spec: CarpetSpec, delta_res: float) -> GapSequence:

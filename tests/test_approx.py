@@ -343,7 +343,10 @@ class TestRenderSvg:
         ({"size": 2.5}, "size must be a finite whole number, got 2.5"),
         ({"depth": math.nan}, "depth must be >= 0, got nan"),
         ({"depth": 2.5}, "depth must be a finite whole number, got 2.5"),
-    ], ids=["size=-5", "size=0", "size=2.5", "depth=nan", "depth=2.5"])
+        # a boolean compares as 1 but would be written as width="True"
+        ({"depth": 0, "size": True}, "size must be a whole number, got a boolean"),
+        ({"depth": True}, "depth must be a whole number, got a boolean"),
+    ], ids=["size=-5", "size=0", "size=2.5", "depth=nan", "depth=2.5", "size=True", "depth=True"])
     def test_bad_size_or_depth(self, cd, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lg.render_svg(cd, **{"depth": 1, **kwargs})

@@ -333,7 +333,9 @@ class TestEnumeration:
         # refused before the walk: no level equals such a depth, so it would run to the cap
         for depth, message in [(2.5, "a finite whole number, got 2.5"),
                                (math.inf, "a finite whole number, got inf"),
-                               (math.nan, ">= 0, got nan")]:
+                               (math.nan, ">= 0, got nan"),
+                               (True, "a whole number, got a boolean"),
+                               (np.False_, "a whole number, got a boolean")]:
             with pytest.raises(ValueError, match=f"^depth must be {message}$"):
                 lg.enumerate_depth(mcm, depth)
         assert len(lg.enumerate_depth(mcm, 3.0)) == 27

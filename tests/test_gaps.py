@@ -1,8 +1,9 @@
 """Gap sequences: rect distances, MST vs oracle routes, components, scaling.
 
-The tree MST is checked against two independent routes: the quadratic
-union-find oracle and a pure-python Prim on tiny inputs.  Component labels
-are checked against a pure-python union-find over all pairs.
+The tree MST (Borůvka) is checked against independent routes: the library's
+quadratic Prim oracle, Kruskal over a dict union-find (`sweep_entries`) and a
+pure-python Prim.  Component labels are checked against a pure-python
+union-find over all pairs.
 """
 
 import hashlib
@@ -66,19 +67,30 @@ def prim_gap_values(rects):
     return sorted(weights, reverse=True)
 
 
-def oracle_labels(rects, delta):
-    """Pure-python union-find over every pair at rect_distance <= delta."""
-    parent = list(range(len(rects)))
+def sequential_unions(n, pairs):
+    """Pure-python union-find joining the pairs one at a time: the component
+    count and each element's root."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    for i, j in itertools.combinations(range(len(rects)), 2):
-        if lg.rect_distance(rects[i], rects[j]) <= delta:
-            parent[find(i)] = find(j)
-    return [find(k) for k in range(len(rects))]
+    components = n
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return components, [find(k) for k in range(n)]
+
+
+def oracle_labels(rects, delta):
+    """Pure-python union-find over every pair at rect_distance <= delta."""
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(rects)), 2)
+             if lg.rect_distance(rects[i], rects[j]) <= delta]
+    return sequential_unions(len(rects), pairs)[1]
 
 
 def sweep_entries(rects):
@@ -324,6 +336,26 @@ class TestMSTAgainstOracles:
         assert entries == sweep_entries(rects)
         assert entries == lg.gap_sequence_mst(rects).entries
         assert sum(m for _, m in entries) == 3
+
+    @pytest.mark.parametrize("n", [*range(2, 200, 4), ORACLE_CAP])
+    def test_oracle_matches_kruskal_and_prim(self, n):
+        # the benchmark's random sizes and the cap: Prim over dense rows
+        # against Kruskal over a dict union-find and a pure-python Prim
+        rects = synth.random_rects(n, seed=n)
+        oracle = lg.gap_sequence_bruteforce(rects)
+        assert oracle.entries == sweep_entries(rects)
+        assert oracle.flat() == pytest.approx(prim_gap_values(rects), rel=1e-12)
+
+    def test_oracle_builds_no_union_find(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the oracle built a _UnionFind")
+
+        rects = synth.random_rects(60, seed=4) + [Rect(x, 0, 1, 1) for x in range(3)]
+        want = sweep_entries(rects)
+        monkeypatch.setattr(lg.gaps, "_UnionFind", refuse)
+        assert lg.gap_sequence_bruteforce(rects).entries == want
+        with pytest.raises(AssertionError, match="built a _UnionFind"):
+            lg.gap_sequence_mst(rects)
 
     def test_oracle_cap(self):
         rects = synth.random_rects(ORACLE_CAP + 1, seed=0)
@@ -695,13 +727,10 @@ class TestUnionFind:
                              max_size=40))))
     def test_union_pairs_matches_sequential_unions(self, case):
         n, pairs = case
-        seq = _UnionFind(n)
-        for a, b in pairs:
-            seq.union(a, b)
-        seq.compress()
+        components, roots = sequential_unions(n, pairs)
         vec = _UnionFind(n)
         ab = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         vec.union_pairs(ab[:, 0], ab[:, 1])
-        assert vec.components == seq.components
+        assert vec.components == components
         # the same partition, compressed, each component rooted at its least member
-        assert list(vec.parent) == partition(seq.parent)
+        assert list(vec.parent) == partition(roots)
