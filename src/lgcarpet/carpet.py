@@ -78,9 +78,6 @@ class Rect:
         return self.y0 + self.h
 
 
-UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
-
-
 class Rects(Sequence):
     """Rects as float64 columns x0, y0, w, h; items are `Rect`s of Python floats."""
 
@@ -379,16 +376,6 @@ def word_map(spec: CarpetSpec, word: Iterable[Digit],
     return sx, tx, sy, ty
 
 
-def apply_word(spec: CarpetSpec, word: Iterable[Digit], target):
-    """Apply the word's map to a point (x, y) tuple or a Rect."""
-    sx, tx, sy, ty = word_map(spec, word)
-    if isinstance(target, Rect):
-        return Rect(sx * target.x0 + tx, sy * target.y0 + ty,
-                    sx * target.w, sy * target.h)
-    x, y = target
-    return (sx * x + tx, sy * y + ty)
-
-
 def _budget(count: int, what: str, tail: str = "") -> int:
     """The one budget gate: refuse `count` pieces of `what` above the cap,
     LG_MAX_CYLINDERS (an integer >= 1) or else the default; returns the cap."""
@@ -425,13 +412,16 @@ def _step(s: np.ndarray, t: np.ndarray, column: np.ndarray,
     s *= scale[:, column]
 
 
-def _sure(h: np.ndarray, live: np.ndarray, b: np.ndarray, delta: float) -> int:
-    """Stopping words rows of heights h surely have, over height ratios b: 1
-    per stopped row, len(b)**m per live one, m in 1..64 the k >= 1 with h *
-    min(b)**k > delta * (1 + 2**-40), a level short to absorb rounding."""
-    levels = np.log(delta * (1.0 + 2.0**-40) / h[live]) / math.log(b.min())
-    per_m = np.bincount(np.clip(np.ceil(levels) - 1.0, 1, 64).astype(np.int64)).tolist()
-    return len(live) - len(levels) + sum(n * len(b)**m for m, n in enumerate(per_m))
+def _sure(h: np.ndarray, live: np.ndarray, b: np.ndarray, delta: float | None,
+          depth: int | None, level: int) -> int:
+    """Words rows of heights h at `level` surely have, over height ratios b:
+    1 per stopped row, len(b)**m per live one, m in 1..64: depth - level on a
+    depth walk (delta None), else the k with h * min(b)**k > delta * (1 +
+    2**-40), a level short to absorb rounding, by logs over live rows only."""
+    m = np.full(np.count_nonzero(live), min(depth - level, 64)) if delta is None else np.ceil(
+        np.log(delta * (1.0 + 2.0**-40) / h[live]) / math.log(b.min())) - 1.0
+    per_m = np.bincount(np.clip(m, 1, 64).astype(np.int64)).tolist()
+    return len(live) - len(m) + sum(n * len(b)**k for k, n in enumerate(per_m))
 
 
 def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
@@ -451,14 +441,15 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
     them (for `_word_matrix`), and the s, t columns.  There is one run unless
     a `bounded` delta walk cuts a level wider than BLOCK_ROWS into pieces of
     max(1, BLOCK_ROWS // g) rows, each walked to its end before the next.
-    The cap is held against the rows yielded, the next level's rows and the
-    words each waiting piece surely has (`_sure`), which, as every live word
-    has a stopping descendant, never pass the set's size and end at it.
+    At every level the cap is held against the words yielded plus the words
+    each pending row, waiting or current, surely has (`_sure`), which, as
+    every live word has a stopping descendant, never pass the set's size and
+    end at it: a set within the cap is never refused.
     """
-    axes, g = scale.shape
-    ok = (0.0 < scale[-1]) & (scale[-1] < 1.0)
+    (axes, g), b = scale.shape, scale[-1]
+    ok = (0.0 < b) & (b < 1.0)
     if delta is not None and not ok.all():
-        raise InvalidRatio(f"{what}: height ratio {scale[-1][~ok][0]} is not in (0, 1)")
+        raise InvalidRatio(f"{what}: height ratio {b[~ok][0]} is not in (0, 1)")
     scale, offset = np.c_[scale, np.ones(axes)], np.c_[offset, np.zeros(axes)]
     dtype, per = np.min_scalar_type(-g), max(1, BLOCK_ROWS // g)
     cap, done = 0, 0
@@ -474,9 +465,9 @@ def _walk(scale: np.ndarray, offset: np.ndarray, what: str,
                 for at in reversed(range(per, len(live), per)):
                     cut = slice(at, at + per)
                     pieces.append((s[:, cut].copy(), t[:, cut].copy(), live[cut], level,
-                                   _sure(s[-1, cut], live[cut], scale[-1, :g], delta)))
+                                   _sure(s[-1, cut], live[cut], b, delta, depth, level)))
                 s, t, live, grow = s[:, :per], t[:, :per], live[:per], grow[:per]
-            count = done + sum(piece[-1] for piece in pieces) + int(grow.sum())
+            count = done + sum(p[-1] for p in pieces) + _sure(s[-1], live, b, delta, depth, level)
             if count > cap:
                 cap = _budget(count, what, f" by length {level + 1}")
             if not live.any():

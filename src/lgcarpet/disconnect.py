@@ -133,7 +133,8 @@ def build_epsilon_chain(spec: CarpetSpec, epsilon0: float) -> EpsilonChain:
         raise ChainUnavailable(
             f"rows {empties} are empty; no chain exists (the attractor may be UD)")
 
-    n = math.ceil(2.0 / epsilon0) + 1
+    n = 2.0 / epsilon0  # inf below about 1.1e-308, refused by the cap without an int
+    n = math.ceil(n) + 1 if n < math.inf else n
     cap = _budget(n + 1, f"epsilon chain: {n + 1} points")
     ratios = [spec.row_max_width[i] / row.b for i, row in enumerate(spec.rows)]
     best_row = 1 + max(range(spec.m), key=lambda i: ratios[i])

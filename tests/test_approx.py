@@ -64,7 +64,7 @@ class TestCountGridCells:
         assert lg.count_grid_cells([Rect(1 / 3, 1 / 3, 0.0, 0.0)], 1 / 3) == 1
 
     def test_unit_square(self):
-        sq = [lg.UNIT_SQUARE]
+        sq = [Rect(0.0, 0.0, 1.0, 1.0)]
         assert lg.count_grid_cells(sq, 0.5) == 4
         assert lg.count_grid_cells(sq, 1 / 3) == 9
         assert lg.count_grid_cells(sq, 1.0) == 1
@@ -174,23 +174,20 @@ class TestBoxCount:
                     with pytest.raises(BudgetExceeded, match=text):
                         call(spec, delta)
 
-    @pytest.mark.parametrize("cap, levels, pieces", [(20000, 10, 9), (300000, 12, 9)])
-    def test_refusal_names_block_length(self, mcm, monkeypatch, cap, levels, pieces):
-        # the one-run walk names the first level wider than the cap; the
-        # bounded walk names the level whose cut took its count past it, as
-        # the cut counts each waiting live row as the 3**64 words it is sure
-        # to have at 1e-300
+    @pytest.mark.parametrize("cap", [20000, 300000])
+    def test_refusal_names_block_length(self, mcm, monkeypatch, cap):
+        # both walks hold the cap against the words each pending row surely
+        # has; at 1e-300 the root alone surely has 3**64, so both refuse at
+        # length 1, before a level is built
         monkeypatch.setenv("LG_MAX_CYLINDERS", str(cap))
-        text = f"^stopping set at delta=1e-300 exceeds cap {cap} by length "
-        with pytest.raises(BudgetExceeded, match=f"{text}{levels}$"):
-            lg.enumerate_stopping(mcm, 1e-300)
-        with pytest.raises(BudgetExceeded, match=f"{text}{pieces}$"):
-            lg.box_count(mcm, 1e-300)
+        text = f"^stopping set at delta=1e-300 exceeds cap {cap} by length 1$"
+        for call in (lg.enumerate_stopping, lg.box_count):
+            with pytest.raises(BudgetExceeded, match=text):
+                call(mcm, 1e-300)
 
     def test_refusal_steps_few_rows(self, mcm, monkeypatch):
-        # MCM at 1e-5 has 3**17 words, over the default cap; the cuts count
-        # the words their waiting rows are sure to have, so the walk refuses
-        # after two pieces, not after walking about a cap's worth of rows
+        # MCM at 1e-5 has 3**17 words, over the default cap; the root surely
+        # has 3**16 of them, so the walk refuses before it steps a row
         stepped, step = [], carpet._step
 
         def counted(s, *rest):
@@ -199,9 +196,9 @@ class TestBoxCount:
 
         monkeypatch.setattr(carpet, "_step", counted)
         with pytest.raises(BudgetExceeded,
-                           match="^stopping set at delta=1e-05 exceeds cap 10000000 by length 10$"):
+                           match="^stopping set at delta=1e-05 exceeds cap 10000000 by length 1$"):
             lg.box_count(mcm, 1e-5)
-        assert sum(stepped) < 4 * carpet.BLOCK_ROWS
+        assert stepped == []
 
     def test_grid_refusals(self, cd, monkeypatch):
         # the grid cap counts the whole set, not one block; past it, the walk

@@ -273,28 +273,30 @@ class TestDerived:
 
 class TestWords:
     def test_single_digit_on_point(self, mcm):
-        assert lg.apply_word(mcm, [(2, 1)], (1.0, 1.0)) == (2 / 3, 1.0)
+        # the image of (1, 1) is (sx + tx, sy + ty)
+        sx, tx, sy, ty = lg.word_map(mcm, [(2, 1)])
+        assert (sx * 1.0 + tx, sy * 1.0 + ty) == (2 / 3, 1.0)
 
     def test_two_letter_word_rect(self, cd):
-        rect = lg.apply_word(cd, [(1, 2), (3, 1)], lg.UNIT_SQUARE)
-        assert rect.x0 == pytest.approx(0.75, abs=1e-15)
-        assert rect.y0 == pytest.approx(2 / 9, abs=1e-15)
-        assert rect.w == pytest.approx(1 / 16, abs=1e-15)
-        assert rect.h == pytest.approx(1 / 9, abs=1e-15)
+        # the image of the unit square is the rect at (tx, ty) of size sx by sy
+        sx, tx, sy, ty = lg.word_map(cd, [(1, 2), (3, 1)])
+        assert tx == pytest.approx(0.75, abs=1e-15)
+        assert ty == pytest.approx(2 / 9, abs=1e-15)
+        assert sx == pytest.approx(1 / 16, abs=1e-15)
+        assert sy == pytest.approx(1 / 9, abs=1e-15)
 
     def test_empty_word_is_identity(self, mcm):
-        assert lg.apply_word(mcm, [], lg.UNIT_SQUARE) == lg.UNIT_SQUARE
+        assert lg.word_map(mcm, []) == (1.0, 0.0, 1.0, 0.0)
 
     @given(st.data())
     def test_word_map_composes(self, data):
+        # a prefix's map as `start` takes the same float operations as the
+        # whole word, so the two agree bit for bit
         mcm = synth.three_map_carpet()
         digits = st.sampled_from(mcm.digits)
         w1 = tuple(data.draw(st.lists(digits, max_size=6)))
         w2 = tuple(data.draw(st.lists(digits, max_size=6)))
-        joint = lg.apply_word(mcm, w1 + w2, (0.37, 0.61))
-        nested = lg.apply_word(mcm, w1, lg.apply_word(mcm, w2, (0.37, 0.61)))
-        assert math.isclose(joint[0], nested[0], abs_tol=1e-12)
-        assert math.isclose(joint[1], nested[1], abs_tol=1e-12)
+        assert lg.word_map(mcm, w2, lg.word_map(mcm, w1)) == lg.word_map(mcm, w1 + w2)
 
     def test_word_with_bad_digit(self, mcm):
         with pytest.raises(InvalidDigit):
@@ -310,7 +312,7 @@ class TestEnumeration:
     def test_depth_zero(self, mcm):
         cyls = lg.enumerate_depth(mcm, 0)
         assert len(cyls) == 1
-        assert cyls[0].rect == lg.UNIT_SQUARE
+        assert cyls[0].rect == lg.Rect(0.0, 0.0, 1.0, 1.0)
 
     def test_stopping_heights(self, mixed):
         delta = 0.1
@@ -361,8 +363,9 @@ class TestEnumeration:
     @settings(max_examples=60, deadline=None)
     @given(walk_specs, st.floats(0.08, 1.5))
     def test_stopping_matches_reference(self, spec, delta):
-        b_min = min(row.b for row in spec.rows)
-        assume(len(spec.digits) ** math.ceil(math.log(delta) / math.log(b_min)) <= 4000)
+        # no word is longer than the least length whose tallest product is <= delta
+        b_max = max(spec.rows[i - 1].b for i, _ in spec.digits)
+        assume(len(spec.digits) ** math.ceil(math.log(delta) / math.log(b_max)) <= 4000)
         cyls = lg.enumerate_stopping(spec, delta)
         want = reference_cylinders(spec, lambda word, h: bool(word) and h <= delta)
         assert list(cyls) == want
@@ -423,6 +426,43 @@ class TestEnumeration:
                 lg.enumerate_stopping(spec, 0.5)
             assert len(lg.enumerate_depth(spec, 2)) == 1
 
+    def test_over_cap_walks_refused_in_little_memory(self):
+        # MCM at 1e-5 has 3**17 words and at depth 16 3**16, over the default
+        # cap; the root alone surely has more than the cap, so each walk is
+        # refused before it builds a level, in a child whose peak RSS stays
+        # near the interpreter's (a level-by-level refusal reached 285 MB);
+        # the peak is VmHWM, as ru_maxrss keeps the spawner's across exec
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("VmHWM is read from /proc/self/status")
+        src = str(Path(lg.__file__).resolve().parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        env.pop("LG_MAX_CYLINDERS", None)
+        check = "\n".join([
+            "import time",
+            "import lgcarpet as lg",
+            "mcm = lg.synth.three_map_carpet()",
+            "calls = [(lg.enumerate_stopping, 1e-5), (lg.gap_sequence_of_carpet, 1e-5),",
+            "         (lg.enumerate_depth, 16)]",
+            "for call, arg in calls:",
+            "    start = time.perf_counter()",
+            "    try:",
+            "        call(mcm, arg)",
+            "    except lg.errors.BudgetExceeded as exc:",
+            "        print(f'{time.perf_counter() - start:.6f} {exc}')",
+            "with open('/proc/self/status') as status:",
+            "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))"])
+        proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *refusals, peak_kb = proc.stdout.splitlines()
+        assert [line.split(" ", 1)[1] for line in refusals] == [
+            "stopping set at delta=1e-05 exceeds cap 10000000 by length 1",
+            "stopping set at delta=1e-05 exceeds cap 10000000 by length 1",
+            "depth 16 exceeds cap 10000000 by length 1"]
+        assert all(float(line.split(" ", 1)[0]) < 0.25 for line in refusals), refusals
+        assert int(peak_kb) < 100 * 1024
+
     def test_budget_is_exact(self, mcm, mixed, monkeypatch):
         for spec, delta in ((mcm, 0.2), (mixed, 0.01)):
             monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
@@ -435,16 +475,47 @@ class TestEnumeration:
         monkeypatch.setenv("LG_MAX_CYLINDERS", "81")
         assert len(lg.enumerate_depth(mcm, 4)) == 81
         monkeypatch.setenv("LG_MAX_CYLINDERS", "80")
-        with pytest.raises(BudgetExceeded, match="^depth 4 exceeds cap 80 by length 4$"):
+        # the root surely has all 3**4 words, so the walk refuses at length 1
+        with pytest.raises(BudgetExceeded, match="^depth 4 exceeds cap 80 by length 1$"):
             lg.enumerate_depth(mcm, 4)
 
     def test_budget_refused_at_overflowing_level(self, mcm, monkeypatch):
-        # 3**5 live words at length 5 already exceed the cap; the set itself
-        # would have 3**997 words
+        # the set would have 3**997 words; the root surely has 3**64 of them
+        # (the count's clamp), far past the cap before the first level
         monkeypatch.setenv("LG_MAX_CYLINDERS", "100")
         with pytest.raises(BudgetExceeded,
-                           match="^stopping set at delta=1e-300 exceeds cap 100 by length 5$"):
+                           match="^stopping set at delta=1e-300 exceeds cap 100 by length 1$"):
             lg.enumerate_stopping(mcm, 1e-300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_specs, st.floats(0.02, 1.0), st.integers(0, 5), st.sampled_from([1, 3, 2**14]))
+    def test_refusal_sets_are_exact(self, spec, delta, depth, block):
+        # every walk counts only words it surely has, never more than it
+        # yields, so it accepts at its size and refuses one below it, in one
+        # run or in pieces (whose refusals may name other lengths)
+        b_max, g = max(spec.rows[i - 1].b for i, _ in spec.digits), len(spec.digits)
+        assume(g ** math.ceil(math.log(delta) / math.log(b_max)) <= 1000 and g ** depth <= 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("LG_MAX_CYLINDERS", raising=False)
+            mp.setattr(carpet, "BLOCK_ROWS", block)
+            size, count = len(lg.enumerate_stopping(spec, delta)), lg.box_count(spec, delta)
+            stopping = (lambda: len(lg.enumerate_stopping(spec, delta)),
+                        lambda: len(lg.approx_set(spec, delta)), lambda: lg.box_count(spec, delta))
+            for cap in {size, size - 1, g ** depth, g ** depth - 1} - {0}:
+                mp.setenv("LG_MAX_CYLINDERS", str(cap))
+                text = f"^stopping set at delta={re.escape(str(delta))} exceeds cap {cap} by length "
+                if size <= cap:
+                    assert [call() for call in stopping] == [size, size, count]
+                else:
+                    for call in stopping:
+                        with pytest.raises(BudgetExceeded, match=text + r"\d+$"):
+                            call()
+                if g ** depth <= cap:
+                    assert len(lg.enumerate_depth(spec, depth)) == g ** depth
+                else:
+                    with pytest.raises(BudgetExceeded,
+                                       match=f"^depth {depth} exceeds cap {cap} by length 1$"):
+                        lg.enumerate_depth(spec, depth)
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
     def test_bad_delta(self, mcm, delta):

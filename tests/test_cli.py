@@ -443,6 +443,14 @@ class TestBudgetAndUsage:
             "chain": "epsilon chain: 2000000002 points",
         }[argv[0]] + " exceeds cap 10000000\n"
 
+    @pytest.mark.parametrize("epsilon", ["1e-310", "5e-324"])
+    def test_chain_at_tiny_epsilon_refused(self, capsys, monkeypatch, epsilon):
+        # 2 / epsilon overflows to inf, which the cap refuses in one line
+        monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
+        code, out, err = run(capsys, ["chain", MCM, "--epsilon", epsilon])
+        assert (code, out) == (1, "")
+        assert err == "error: BudgetExceeded: epsilon chain: inf points exceeds cap 10000000\n"
+
     def test_check_ud_chain_under_cap(self, capsys, monkeypatch):
         # with no empty row, check-ud builds a 22-point chain
         monkeypatch.setenv("LG_MAX_CYLINDERS", "22")

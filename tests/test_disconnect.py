@@ -197,6 +197,15 @@ class TestEpsilonChain:
         with pytest.raises(BudgetExceeded, match="^epsilon chain: 22 points exceeds cap 21$"):
             lg.build_epsilon_chain(mcm, 0.1)
 
+    @pytest.mark.parametrize("eps0", [1e-310, 5e-324])
+    def test_tiny_epsilon_refused_by_the_cap(self, mcm, monkeypatch, eps0):
+        # 2 / eps0 is inf: refused as inf points, before an int or a log of
+        # eps0 / 2 (0.0 at 5e-324) is taken
+        monkeypatch.delenv("LG_MAX_CYLINDERS", raising=False)
+        with pytest.raises(BudgetExceeded,
+                           match="^epsilon chain: inf points exceeds cap 10000000$"):
+            lg.build_epsilon_chain(mcm, eps0)
+
     def test_pinned_shapes(self, mcm):
         ch = lg.build_epsilon_chain(mcm, 0.5)
         assert (ch.n, ch.ell, len(ch.points)) == (5, 4, 6)

@@ -661,9 +661,11 @@ class TestRowStoppingWords:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_budget(self, cd, monkeypatch):
+        # CD's two nonempty rows of height 1/3: the root surely has 2**16 row
+        # words at 1e-8, past the cap before the first level
         monkeypatch.setenv("LG_MAX_CYLINDERS", "50")
         with pytest.raises(BudgetExceeded,
-                           match="^row stopping set at delta=1e-08 exceeds cap 50 by length 6$"):
+                           match="^row stopping set at delta=1e-08 exceeds cap 50 by length 1$"):
             lg.row_stopping_words(cd, 1e-8)
 
     @pytest.mark.parametrize("name", ["cd", "mcm", "mixed", "touching"])
