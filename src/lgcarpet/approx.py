@@ -67,15 +67,35 @@ def _grid_index(vals: np.ndarray, delta: float, upper: bool = False) -> np.ndarr
     return q
 
 
+def _key_span(u_lo, u_hi, v_lo, v_hi) -> int:
+    """V = v_hi - v_lo + 1 when the key (u - u_lo) * V + (v - v_lo) of every
+    cell from (u_lo, v_lo) to (u_hi, v_hi) is below 2**62, else 0."""
+    span = int(v_hi) - int(v_lo) + 1
+    return span if (int(u_hi) - int(u_lo) + 1) * span <= 2**62 else 0
+
+
 def _sort_cells(u: np.ndarray, v: np.ndarray):
-    """The cells (u, v) sorted by u then v, and a mask of the first of each
-    distinct cell: by sorting, since a linear key u * V + v overflows int64."""
+    """The distinct cells among int64 columns (u, v), as columns sorted by u
+    then v.  One np.sort of the key (u - u0) * V + (v - v0), with u0, v0 the
+    least indices and V the v span + 1, orders them when `_key_span` admits
+    it; np.lexsort does so only past that, for cells spread over more than
+    about 2**31 indices on both axes.  The columns are not empty."""
+    u0, v0 = u.min(), v.min()
+    span = _key_span(u0, u.max(), v0, v.max())
+    if span:
+        key = (u - u0) * span + (v - v0)
+        key.sort()
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        u, v = np.divmod(key[first], span)
+        return u + u0, v + v0
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     del order
     first = np.ones(len(u), dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    return u, v, first
+    return u[first], v[first]
 
 
 def _count_cells(runs, delta: float) -> int:
@@ -85,14 +105,18 @@ def _count_cells(runs, delta: float) -> int:
 
     Each rect's span of cells, from its lower-left cell (u0, v0) over `rows`
     rows, is found in float64, so a tiny delta is refused with its true cell
-    count before any int64 math.  Each run's cells are expanded, sorted and
-    made distinct alone, and only its distinct cells are kept until all runs
-    are merged; a run is let go once its spans are found, so `runs` should
-    not hold it.  The refusals come once every run is read, in this order:
-    more than MAX_GRID_CELLS (cell, rect) pairs in all, then a cell index
-    float64 does not hold exactly.
+    count before any int64 math.  Each run's cells are expanded and made
+    distinct alone (`_sort_cells`), and only its distinct cells are kept
+    until all runs are merged; a run is let go once its spans are found, so
+    `runs` should not hold it.  The merge keys every kept cell as
+    `_sort_cells` does, with u0, v0 and V of all runs together, and sorts
+    the keys once, stably: each run's keys are already in order, so timsort
+    merges them.  Only where that key would reach 2**62 (`_key_span`) are
+    the runs' cells lexsorted.  The refusals come once every run is read, in
+    this order: more than MAX_GRID_CELLS (cell, rect) pairs in all, then a
+    cell index float64 does not hold exactly.
     """
-    total, exact, us, vs = 0.0, True, [], []
+    total, exact, cells = 0.0, True, []
     for cols in runs:
         # A fine enough grid overflows indices to inf; fmax maps inf - inf (NaN) to 0.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -110,17 +134,30 @@ def _count_cells(runs, delta: float) -> int:
             u += np.repeat(u0.astype(np.int64), spans)
             v += np.repeat(v0.astype(np.int64), spans)
             del u0, v0, rows, spans
-            u, v, first = _sort_cells(u, v)
-            us.append(u[first])
-            vs.append(v[first])
-            del u, v, first
+            if len(u):
+                cells.append(_sort_cells(u, v))
+            del u, v
     if not total <= MAX_GRID_CELLS:
         raise BudgetExceeded(f"grid count at delta={delta} touches {total:.0f} cells")
     if not exact:
         raise ValueError(f"delta={delta} is finer than float64 resolves the rect coordinates")
-    u, v = np.concatenate(us), np.concatenate(vs)
-    del us, vs
-    return int(np.count_nonzero(_sort_cells(u, v)[2]))
+    if len(cells) < 2:
+        return sum(len(u) for u, _ in cells)
+    # Each run's u column is sorted, so its ends are its least and greatest u.
+    u0, v0 = min(int(u[0]) for u, _ in cells), min(int(v.min()) for _, v in cells)
+    span = _key_span(u0, max(int(u[-1]) for u, _ in cells), v0, max(int(v.max()) for _, v in cells))
+    if not span:
+        us, vs = zip(*cells)
+        del cells
+        return len(_sort_cells(np.concatenate(us), np.concatenate(vs))[0])
+    keys = []
+    while cells:  # each run's keys replace its columns
+        u, v = cells.pop()
+        keys.append((u - u0) * span + (v - v0))
+        del u, v
+    keys = np.concatenate(keys)
+    keys.sort(kind="stable")
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def count_grid_cells(rects, delta: float) -> int:

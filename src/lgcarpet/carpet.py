@@ -417,11 +417,24 @@ def _sure(h: np.ndarray, live: np.ndarray, b: np.ndarray, delta: float | None,
     """Words rows of heights h at `level` surely have, over height ratios b:
     1 per stopped row, len(b)**m per live one, m in 1..64: depth - level on a
     depth walk (delta None), else the k with h * min(b)**k > delta * (1 +
-    2**-40), a level short to absorb rounding, by logs over live rows only."""
-    m = np.full(np.count_nonzero(live), min(depth - level, 64)) if delta is None else np.ceil(
-        np.log(delta * (1.0 + 2.0**-40) / h[live]) / math.log(b.min())) - 1.0
-    per_m = np.bincount(np.clip(m, 1, 64).astype(np.int64)).tolist()
-    return len(live) - len(m) + sum(n * len(b)**k for k, n in enumerate(per_m))
+    2**-40), a level short to absorb rounding, by logs over live rows only.
+    A level with no live row is counted at once; a depth walk, or live rows
+    all of one height, take one m for every live row."""
+    n = int(np.count_nonzero(live))
+    if not n:
+        return len(live)
+    if delta is None:
+        m = depth - level
+    else:
+        h = h[live]
+        if h.min() == h.max():
+            h = h[:1]
+        m = np.ceil(np.log(delta * (1.0 + 2.0**-40) / h) / math.log(b.min())) - 1.0
+        if len(m) > 1:
+            per_m = np.bincount(np.clip(m, 1, 64).astype(np.int64)).tolist()
+            return len(live) - n + sum(c * len(b)**k for k, c in enumerate(per_m))
+        m = int(m[0])
+    return len(live) - n + n * len(b)**min(max(m, 1), 64)
 
 
 def _walk(scale: np.ndarray, offset: np.ndarray, what: str,

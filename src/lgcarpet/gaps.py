@@ -402,9 +402,10 @@ def gap_sequence_mst(rects, floor: float = 0.0) -> GapSequence:
 
 def gap_sequence_bruteforce(rects) -> GapSequence:
     """Oracle route: Prim's algorithm on the complete graph of rect set
-    distances.  Each of the n - 1 steps takes the dense row of distances from
-    the rect just added, keeps every rect's least distance to the tree, and
-    adds the nearest rect outside it; each positive step is one gap.  No pair
+    distances.  One `_pair_dist` call builds the n x n distance matrix (2 MB
+    of float64 at ORACLE_CAP); each of the n - 1 steps reads the row of the
+    rect just added, keeps every rect's least distance to the tree, and adds
+    the nearest rect outside it; each positive step is one gap.  No pair
     list, sort or union-find: `_pair_dist` is symmetric bit for bit, so the
     MST weight multiset is the same whichever tied rect a step adds.
     Quadratic, refuses more than the constant ORACLE_CAP rects."""
@@ -414,13 +415,14 @@ def gap_sequence_bruteforce(rects) -> GapSequence:
         raise OracleCapExceeded(f"{len(rects)} rects exceeds oracle cap {ORACLE_CAP}")
     cols = Rects.of(rects)
     every = np.arange(len(cols))
+    dist = _pair_dist(cols, every[:, None], every)
     outside = np.ones(len(cols), dtype=bool)
     near = np.full(len(cols), np.inf)  # each rect's least distance to the tree
     steps = np.empty(len(cols) - 1)
     k = 0
     for step in range(len(steps)):
         outside[k] = False
-        np.minimum(near, _pair_dist(cols, k, every), out=near, where=outside)
+        np.minimum(near, dist[k], out=near, where=outside)
         near[k] = np.inf
         k = int(near.argmin())
         steps[step] = near[k]

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,9 +101,27 @@ class TestCountGridCells:
         assert lg.count_grid_cells(rects, delta) == set_count(rects, delta)
 
     def test_fine_grid(self):
-        # cell indices near 2**40 on both axes: a linear u * V + v key would overflow
+        # cell indices near 2**40 on both axes: the key (u - u0) * V + (v - v0) of
+        # one run would reach 2**62, so its cells are lexsorted
         points = [Rect(x, y, 0.0, 0.0) for x, y in ((0.25, 0.5), (0.75, 0.125), (0.5, 0.25))]
         assert lg.count_grid_cells(points * 2, 2.0 ** -40) == 3
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_merge_of_far_apart_runs(self, monkeypatch, far):
+        # each run's own key fits; with the run near cell (2**40, 2**40) the
+        # merged key would reach 2**62, and only then is the merge lexsorted
+        runs = [[Rect(0.5, 0.25, 3.0, 2.0), Rect(2.0, 1.0, 0.0, 4.5)],
+                [Rect(-7.5, -3.25, 9.0, 4.0), Rect(1.0, 0.0, 1.0, 1.0), Rect(-2.0, -9.0, 0.5, 0.0)]]
+        if far:
+            runs.insert(1, [Rect(2.0**40 + 0.5, 2.0**40, 2.0, 3.0), Rect(2.0**40 - 2, 2.0**40 + 1, 0, 0)])
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys[0])) or lexsort(keys))
+        got = approx._count_cells(map(carpet.Rects.of, runs), 1.0)
+        assert got == set_count([r for run in runs for r in run], 1.0)
+        kept = sum(set_count(run, 1.0) for run in runs)
+        assert got < kept  # some cells lie in two runs
+        assert calls == ([kept] if far else [])
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-15, 1e-19, 1e-20, 1e-30])
     def test_tiny_delta_refused_with_true_count(self, delta):
@@ -231,7 +250,7 @@ class TestBoxCount:
 
     def test_memory_is_one_block_and_the_cells(self, cd):
         # 262144 cylinders, 147456 distinct cells: the whole stopping set and
-        # its grid count peaked at 29.9 MB; a block and the cells stay near 7 MB
+        # its grid count peaked at 29.9 MB; a block and the cells stay near 4 MB
         tracemalloc.start()
         try:
             lg.box_count(cd, 3.0 ** -9)

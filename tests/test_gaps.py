@@ -357,6 +357,20 @@ class TestMSTAgainstOracles:
         with pytest.raises(AssertionError, match="built a _UnionFind"):
             lg.gap_sequence_mst(rects)
 
+    def test_oracle_computes_distances_once(self, monkeypatch):
+        # one call builds the whole distance matrix; Prim's steps read its rows
+        calls = []
+
+        def counted(r, i, j):
+            calls.append(np.broadcast_shapes(np.shape(i), np.shape(j)))
+            return _pair_dist(r, i, j)
+
+        monkeypatch.setattr(lg.gaps, "_pair_dist", counted)
+        for n in (1, 2, 60):
+            calls.clear()
+            lg.gap_sequence_bruteforce(synth.random_rects(n, seed=n))
+            assert calls == [(n, n)]
+
     def test_oracle_cap(self):
         rects = synth.random_rects(ORACLE_CAP + 1, seed=0)
         with pytest.raises(OracleCapExceeded):
