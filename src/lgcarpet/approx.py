@@ -196,9 +196,9 @@ def n_delta_curve(spec: CarpetSpec, delta_max: float, delta_min: float,
     if not 0.0 < delta_min < delta_max <= 1.0:
         raise ValueError(
             f"need 0 < delta_min < delta_max <= 1, got {delta_min}, {delta_max}")
-    _whole(steps, 2, "steps")
+    steps = _whole(steps, 2, "steps")
     _budget(steps, f"box-count curve: {steps} steps")
-    deltas = np.geomspace(delta_max, delta_min, int(steps))
+    deltas = np.geomspace(delta_max, delta_min, steps)
     return NDeltaCurve(tuple((float(d), box_count(spec, float(d))) for d in deltas))
 
 
@@ -211,7 +211,7 @@ def render_svg(spec: CarpetSpec, depth: int | None = None,
     """
     if (depth is None) == (delta is None):
         raise ValueError("give exactly one of depth or delta")
-    _whole(size, 1, "size")
+    size = _whole(size, 1, "size")
     if depth is not None:
         rects = enumerate_depth(spec, depth).rects
     else:

@@ -179,11 +179,11 @@ class CarpetSpec:
 
     @cached_property
     def a_min(self) -> float:
-        return min(cell.a for row in self.rows for cell in row.cells)
+        return min(c.a for i in _nonempty(self) for c in self.rows[i - 1].cells)
 
     @cached_property
     def a_max(self) -> float:
-        return max(cell.a for row in self.rows for cell in row.cells)
+        return max(c.a for i in _nonempty(self) for c in self.rows[i - 1].cells)
 
     @cached_property
     def row_max_width(self) -> tuple[float, ...]:
@@ -388,16 +388,26 @@ def _budget(count: int, what: str, tail: str = "") -> int:
     return cap
 
 
-def _whole(value, low: int, what: str) -> None:
-    """Refuse (ValueError) a `what` that is not a whole number >= low: NaN,
-    inf and 2.5 included, which no walk level would ever reach, and a
-    boolean, which compares as 0 or 1 but is no count."""
+def _whole(value, low: int, what: str) -> int:
+    """The one whole-number gate: `value` as an int, so 3.0 is 3 in every
+    result and message.  Refuses (ValueError) a `what` that is not a whole
+    number >= low: NaN, inf and 2.5 included, which no walk level would ever
+    reach, and a boolean, which compares as 0 or 1 but is no count."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what} must be a whole number, got a boolean")
     if not value >= low:
         raise ValueError(f"{what} must be >= {low}, got {value}")
     if not (value < math.inf and value % 1 == 0):
         raise ValueError(f"{what} must be a finite whole number, got {value}")
+    return int(value)
+
+
+def _nonempty(spec: CarpetSpec) -> tuple[int, ...]:
+    """The one attractor gate: the spec's nonempty rows, or EmptyAttractor
+    when there are none, since an all-empty spec has no attractor."""
+    if not spec.nonempty_rows:
+        raise EmptyAttractor("every row is empty")
+    return spec.nonempty_rows
 
 
 def _step(s: np.ndarray, t: np.ndarray, column: np.ndarray,
@@ -514,9 +524,8 @@ def _word_matrix(columns: list[np.ndarray], dtype) -> np.ndarray:
 
 def _digit_table(spec: CarpetSpec):
     """Scale and offset of each digit's map, x axis over y axis, one column
-    per digit of `spec.digits`; an all-empty spec has no attractor."""
-    if not spec.digits:
-        raise EmptyAttractor("every row is empty")
+    per digit of `spec.digits`."""
+    _nonempty(spec)
     cells, rows = [spec.cell(i, j) for i, j in spec.digits], [i - 1 for i, _ in spec.digits]
     scale = np.array([[c.a for c in cells], [spec.rows[i].b for i in rows]])
     offset = np.array([[c.c for c in cells], [spec.d[i] for i in rows]])
@@ -530,7 +539,7 @@ def _cylinders(spec: CarpetSpec, what: str, **stop) -> Cylinders:
 
 def enumerate_depth(spec: CarpetSpec, depth: int) -> Cylinders:
     """All cylinders of exactly `depth` digits, in lexicographic word order."""
-    _whole(depth, 0, "depth")
+    depth = _whole(depth, 0, "depth")
     return _cylinders(spec, f"depth {depth}", depth=depth)
 
 

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .carpet import CarpetSpec
-from .errors import EmptyAttractor, NoConvergence
+from .carpet import CarpetSpec, _nonempty
+from .errors import NoConvergence
 
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
@@ -57,9 +57,7 @@ def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
 
 def solve_s1(spec: CarpetSpec, tol: float = BISECT_TOL) -> float:
     """Dimension of the vertical projection: sum of b_i**s1 over nonempty rows is 1."""
-    rows = [spec.rows[i - 1] for i in spec.nonempty_rows]
-    if not rows:
-        raise EmptyAttractor("every row is empty")
+    rows = [spec.rows[i - 1] for i in _nonempty(spec)]
     if len(rows) == 1:
         return 0.0
     if len(rows) == spec.m:
@@ -73,9 +71,7 @@ def solve_s1(spec: CarpetSpec, tol: float = BISECT_TOL) -> float:
 
 def solve_bdim(spec: CarpetSpec, tol: float = BISECT_TOL) -> DimensionResult:
     """Box dimension s of the attractor, solved via t = s - s1 in [0, 1]."""
-    rows = [spec.rows[i - 1] for i in spec.nonempty_rows]
-    if not rows:
-        raise EmptyAttractor("every row is empty")
+    rows = [spec.rows[i - 1] for i in _nonempty(spec)]
     if len(rows) == spec.m and all(
             abs(math.fsum(cell.a for cell in row.cells) - 1.0) <= 1e-15
             for row in rows):

@@ -75,9 +75,9 @@ def _touching_diameter(rects: Rects, labels: np.ndarray) -> float:
 def certify_totally_disconnected(spec: CarpetSpec,
                                  max_depth: int = DEFAULT_MAX_DEPTH) -> TDCertificate:
     """Depth sweep looking for a level with pairwise-separated cylinders."""
-    _whole(max_depth, 1, "max_depth")
+    max_depth = _whole(max_depth, 1, "max_depth")
     bounds: list[float] = []
-    for depth in range(1, int(max_depth) + 1):
+    for depth in range(1, max_depth + 1):
         try:
             rects = enumerate_depth(spec, depth).rects
         except BudgetExceeded:

@@ -28,10 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .carpet import CarpetSpec, _budget, _walk, _whole, _word_matrix
+from .carpet import CarpetSpec, _budget, _nonempty, _walk, _whole, _word_matrix
 from .errors import (
     CodingsNotDiverging,
-    EmptyAttractor,
     EmptyInput,
     InvalidCoding,
     NoGapFound,
@@ -59,23 +58,12 @@ GAP_FIBER_CAP = 1_000_000
 class IntervalSet:
     """Disjoint closed intervals, sorted by left endpoint, as float64 columns
     `lo` and `hi`; `intervals` is the same as a tuple of Python-float pairs.
-    The constructor is `from_pairs` with tol 0."""
 
-    def __init__(self, intervals=()):
-        merged = self.from_pairs(intervals)
-        self.lo, self.hi = merged.lo, merged.hi
+    The constructor sorts `pairs` and merges intervals whose gap is <= tol
+    (0 merges touching, inf gives the hull); a tol that is not >= 0, or a
+    pair that is not finite with lo <= hi, raises ValueError."""
 
-    @classmethod
-    def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
-        out = cls.__new__(cls)
-        out.lo, out.hi = lo, hi
-        return out
-
-    @classmethod
-    def from_pairs(cls, pairs, tol: float = 0.0) -> "IntervalSet":
-        """Sort and merge intervals whose gap is <= tol (0 merges touching,
-        inf gives the hull); a tol that is not >= 0, or a pair that is not
-        finite with lo <= hi, raises ValueError."""
+    def __init__(self, pairs=(), tol: float = 0.0):
         if not tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {tol}")
         lo, hi = np.array(list(pairs), dtype=float).reshape(-1, 2).T
@@ -83,7 +71,13 @@ class IntervalSet:
         if not ok.all():
             k = int(np.argmin(ok))
             raise ValueError(f"interval {k} needs finite lo <= hi, got ({lo[k]}, {hi[k]})")
-        return _merge(lo, hi, tol)
+        self.lo, self.hi = _merge(lo, hi, tol)
+
+    @classmethod
+    def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
+        out = cls.__new__(cls)
+        out.lo, out.hi = lo, hi
+        return out
 
     @cached_property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -123,15 +117,16 @@ def _starts(lo: np.ndarray, top: np.ndarray, tol: float) -> np.ndarray:
     return start
 
 
-def _merge(lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> IntervalSet:
-    """Union of the intervals [lo, hi] with gaps <= tol closed: sort by lo and
-    start a new interval where lo passes the running max of hi by more than tol."""
+def _merge(lo: np.ndarray, hi: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the union of the intervals [lo, hi] with gaps <= tol closed:
+    sort by lo and start a new interval where lo passes the running max of hi
+    by more than tol."""
     order = np.argsort(lo, kind="stable")
     lo, top = lo[order], np.maximum.accumulate(hi[order])
     start = _starts(lo, top, tol)
     last = np.ones(len(lo), dtype=bool)
     last[:-1] = start[1:]
-    return IntervalSet._of(lo[start], top[last])
+    return lo[start], top[last]
 
 
 def _ifs_cover(steps, what: str) -> IntervalSet:
@@ -154,7 +149,9 @@ def _ifs_cover(steps, what: str) -> IntervalSet:
             cap = _budget(images, f"{what}: {len(cover)} intervals x {len(scale)} maps")
         scale, offset = scale[:, None], offset[:, None]
         lo, hi = (offset + scale * cover.lo).ravel(), (offset + scale * cover.hi).ravel()
-        cover = IntervalSet._of(lo, hi) if (lo[1:] > hi[:-1]).all() else _merge(lo, hi)
+        if not (lo[1:] > hi[:-1]).all():
+            lo, hi = _merge(lo, hi)
+        cover = IntervalSet._of(lo, hi)
     return cover
 
 
@@ -194,9 +191,7 @@ class ProjectionIFS:
 
 
 def project_F(spec: CarpetSpec) -> ProjectionIFS:
-    rows = spec.nonempty_rows
-    if not rows:
-        raise EmptyAttractor("every row is empty, projection undefined")
+    rows = _nonempty(spec)
     return ProjectionIFS(
         rows=rows,
         ratios=tuple(spec.rows[i - 1].b for i in rows),
@@ -207,10 +202,10 @@ def project_F(spec: CarpetSpec) -> ProjectionIFS:
 def projection_approx(spec: CarpetSpec, depth: int) -> IntervalSet:
     """Depth-k interval cover of the projection: the union of the images of
     [0, 1] under all row words of length k, one IFS step per digit."""
-    _whole(depth, 0, "depth")
+    depth = _whole(depth, 0, "depth")
     proj = project_F(spec)
     maps = np.array(proj.ratios), np.array(proj.offsets)
-    return _ifs_cover([maps] * int(depth), f"projection at depth {depth}")
+    return _ifs_cover([maps] * depth, f"projection at depth {depth}")
 
 
 def _projection_bounds(spec: CarpetSpec, depth: int) -> np.ndarray:
@@ -243,8 +238,7 @@ def y_codings(spec: CarpetSpec, y: float, depth: int) -> list[Coding]:
     with the smallest row symbol instead of testing membership, in one step
     once every branch is that narrow.
     """
-    _whole(depth, 1, "depth")
-    depth = int(depth)
+    depth = _whole(depth, 1, "depth")
     proj = project_F(spec)
     if not 0.0 <= y <= 1.0:
         raise NotInProjection(f"y={y} outside [0, 1]")
@@ -366,10 +360,8 @@ def gap_fraction(spec: CarpetSpec) -> float:
     lambda = a_min * (smallest over nonempty rows of the largest row gap) / 3;
     zero when some nonempty row's cells tile [0,1] completely.
     """
-    if not spec.nonempty_rows:
-        raise EmptyAttractor("every row is empty")
     smallest = math.inf
-    for i in spec.nonempty_rows:
+    for i in _nonempty(spec):
         gap = largest_row_gap(spec, i)
         if gap is None:
             return 0.0

@@ -558,3 +558,72 @@ class TestEnumeration:
         spec = lg.spec_from_dict(rows_dict([(0.5, []), (0.5, [])]))
         with pytest.raises(lg.errors.EmptyAttractor):
             lg.enumerate_stopping(spec, 0.5)
+
+
+ALL_EMPTY = {"rows": [{"b": 0.5, "cells": []}, {"b": 0.5, "cells": []}]}
+
+
+def outcome(call, *args):
+    """What `call(*args)` gives: its result, or its refusal's type and text."""
+    try:
+        return "result", call(*args)
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestGates:
+    """Each precondition has one gate, so every entry point behind it answers
+    alike: an integral float is the int it equals, and a spec with no cell
+    is one refusal."""
+
+    # (call of one whole-number argument, k, a cap that refuses it or, for
+    # certify's sweep, cuts it short at k; y_codings has no budget)
+    WHOLE = {
+        "enumerate_depth": (lambda n: list(lg.enumerate_depth(synth.three_map_carpet(), n)), 3, 10),
+        "render_svg": (lambda n: lg.render_svg(synth.three_map_carpet(), depth=n, size=64 * n), 3, 10),
+        "n_delta_curve": (lambda n: lg.n_delta_curve(synth.cantor_dust(), 0.5, 0.1, n), 3, 2),
+        "projection_approx": (lambda n: lg.projection_approx(synth.cantor_dust(), n).intervals, 4, 10),
+        "y_codings": (lambda n: lg.y_codings(synth.three_map_carpet(), 0.5, n), 4, 1),
+        "certify_totally_disconnected":
+            (lambda n: lg.certify_totally_disconnected(synth.three_map_carpet(), n), 3, 10),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WHOLE))
+    def test_integral_float_is_its_int(self, monkeypatch, name):
+        call, k, cap = self.WHOLE[name]
+        assert outcome(call, float(k)) == outcome(call, k)
+        assert outcome(call, k)[0] == "result"
+        monkeypatch.setenv("LG_MAX_CYLINDERS", str(cap))
+        assert outcome(call, float(k)) == outcome(call, k)
+
+    def test_svg_size_is_written_whole(self, cd):
+        svg = lg.render_svg(cd, depth=1, size=512.0)
+        assert '<svg xmlns="http://www.w3.org/2000/svg" width="512" height="512"' in svg
+        assert svg == lg.render_svg(cd, depth=1, size=512)
+
+    NEEDS_ATTRACTOR = {
+        "enumerate_depth": lambda spec: lg.enumerate_depth(spec, 1),
+        "enumerate_stopping": lambda spec: lg.enumerate_stopping(spec, 0.5),
+        "box_count": lambda spec: lg.box_count(spec, 0.5),
+        "render_svg": lambda spec: lg.render_svg(spec, depth=1),
+        "solve_s1": lg.solve_s1,
+        "solve_bdim": lg.solve_bdim,
+        "project_F": lg.project_F,
+        "projection_approx": lambda spec: lg.projection_approx(spec, 1),
+        "y_codings": lambda spec: lg.y_codings(spec, 0.5, 1),
+        "row_stopping_words": lambda spec: lg.row_stopping_words(spec, 0.5),
+        "idelta_classes": lambda spec: lg.idelta_classes(spec, 0.1),
+        "h_delta": lambda spec: lg.h_delta(spec, 0.5),
+        "gap_fraction": lg.gap_fraction,
+        "gap_sequence_of_carpet": lambda spec: lg.gap_sequence_of_carpet(spec, 0.1),
+        "check_uniform_disconnectedness": lg.check_uniform_disconnectedness,
+        "a_min": lambda spec: spec.a_min,
+        "a_max": lambda spec: spec.a_max,
+    }
+
+    @pytest.mark.parametrize("name", sorted(NEEDS_ATTRACTOR))
+    def test_all_empty_spec_is_one_refusal(self, name):
+        spec = lg.spec_from_dict(ALL_EMPTY)
+        assert lg.validate(spec) == []
+        with pytest.raises(lg.errors.EmptyAttractor, match="^every row is empty$"):
+            self.NEEDS_ATTRACTOR[name](spec)
